@@ -18,7 +18,7 @@ from .dataset import DatasetSpec, generate_dataset
 from .geometry import knn_graph, sample_rotation_so3
 from .gradcheck import check_tensor_gradient, directional_derivative_error
 from .harness import Protocol, TrainConfig, evaluate, run_experiment
-from .network import FusionModel, named_config, total_loss
+from .network import FusionModel, named_config, relative_defect, total_loss
 from .vecneuron import EquivariantEncoder
 
 
@@ -111,15 +111,17 @@ def check_end_to_end_invariance(n_rotations: int = 50, seed: int = 0) -> CheckRe
     with ad.no_grad():
         reference = model.forward(points).prediction_logits.data
     ref_classes = reference.argmax(axis=-1)
-    worst = 0.0
-    stable = True
+    defects = []
+    # argmax of an all-NaN row is 0: classes are stable only if finite
+    stable = bool(np.isfinite(reference).all())
     for _ in range(n_rotations):
         rot = sample_rotation_so3(rng).matrix
         with ad.no_grad():
             logits = model.forward(points @ rot.T).prediction_logits.data
-        defect = np.abs(logits - reference).max() / max(np.abs(reference).max(), 1e-12)
-        worst = max(worst, float(defect))
-        stable = stable and bool((logits.argmax(axis=-1) == ref_classes).all())
+        defects.append(relative_defect(logits, reference))
+        stable = (stable and bool(np.isfinite(logits).all())
+                  and bool((logits.argmax(axis=-1) == ref_classes).all()))
+    worst = float(np.max(defects, initial=0.0))
     passed = worst <= 1e-6 and stable
     return CheckResult("end-to-end-invariance", passed, worst, 1e-6,
                        f"{n_rotations} rotations, classes stable={stable}",

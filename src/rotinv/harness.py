@@ -15,11 +15,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import autodiff as ad
-from .dataset import DatasetSpec, SyntheticDataset, generate_dataset
+from .dataset import SyntheticDataset
 from .frames import export_frames_csv, export_frames_ply
 from .geometry import (PointCloud, add_gaussian_noise, as_rng, drop_points,
                        sample_rotation_so3, sample_rotation_z)
-from .network import FusionModel, ModelConfig, named_config, total_loss
+from .network import (FusionModel, ModelConfig, named_config, relative_defect,
+                      total_loss)
 
 PROTOCOL_NAMES = {"zz": ("z", "z"), "zso3": ("z", "so3"), "so3so3": ("so3", "so3")}
 
@@ -306,19 +307,15 @@ def export_frame_field(model: FusionModel, cloud: PointCloud, out_prefix) -> tup
 
 def invariance_defect(model: FusionModel, clouds: list[PointCloud],
                       n_rotations: int, seed: int) -> float:
-    """Max relative change of prediction logits over random rotations."""
+    """Max relative change of prediction logits over random rotations;
+    a NaN logit makes it NaN, never 0."""
     rng = as_rng(seed)
     points = np.stack([c.points for c in clouds])
     with ad.no_grad():
         reference = model.forward(points).prediction_logits.data
-        worst = 0.0
+        defects = []
         for _ in range(n_rotations):
             rot = sample_rotation_so3(rng).matrix
             logits = model.forward(points @ rot.T).prediction_logits.data
-            defect = np.abs(logits - reference).max() / max(np.abs(reference).max(), 1e-12)
-            worst = max(worst, float(defect))
-    return worst
-
-
-def build_dataset(spec: DatasetSpec) -> SyntheticDataset:
-    return generate_dataset(spec)
+            defects.append(relative_defect(logits, reference))
+    return float(np.max(defects, initial=0.0))

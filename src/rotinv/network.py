@@ -12,8 +12,8 @@ from . import autodiff as ad
 from . import frames as fr
 from .autodiff import Parameter, Tensor
 from .geometry import KnnGraph, PointCloud, knn_graph, sample_rotation_so3
-from .vecneuron import (EquivariantEncoder, gather_neighbors, seeded_normal,
-                        vn_invariant_head)
+from .vecneuron import (EquivariantEncoder, edge_linear, gather_neighbors,
+                        seeded_normal, vn_invariant_head)
 
 FRAME_KINDS = ("identity", "handcrafted", "gram-schmidt", "lcrf")
 RPR_SOURCES = ("off", "coordinate", "handcrafted-ppf", "equivariant", "invariant")
@@ -174,14 +174,11 @@ def handcrafted_ppf_code(points: np.ndarray, knn: np.ndarray) -> Tensor:
     with d = p_j - p_r and c the cloud centroid.  A stand-in for richer
     point-pair features from the literature; computed outside the graph."""
     pts = np.asarray(points, dtype=np.float64)
-    b, n = pts.shape[0], pts.shape[1]
     centroid = pts.mean(axis=1, keepdims=True)
     rel = pts - centroid                                   # (B,N,3)
-    flat = pts.reshape(b * n, 3)
-    offsets = (np.arange(b) * n)[:, None, None]
-    pj = flat[knn + offsets]                               # (B,N,K,3)
+    pj = gather_neighbors(Tensor(pts), knn).data           # (B,N,K,3)
     d = pj - pts[:, :, None, :]
-    rel_j = rel.reshape(b * n, 3)[knn + offsets]
+    rel_j = gather_neighbors(Tensor(rel), knn).data
 
     def angle(u, v):
         nu = np.linalg.norm(u, axis=-1)
@@ -420,25 +417,17 @@ class FusionModel:
         frame, _ = fr.lcrf_frame(pair, fallback=fallback)
         return frame, bad_fraction
 
-    def _edge_conv(self, x: Tensor, idx: np.ndarray, phi: Mlp,
-                   gate: Optional[Mlp], code: Optional[Tensor]) -> Tensor:
-        b, n = x.shape[0], x.shape[1]
-        k = idx.shape[-1]
-        xj = gather_neighbors(x, idx)                       # (B,N,K,C)
-        if gate is not None:
-            flat = ad.reshape(code, code.shape[:3] + (-1,)) if code.ndim == 5 else code
-            xj = gate(flat) * xj
-        center = ad.broadcast_to(ad.reshape(x, (b, n, 1, x.shape[-1])),
-                                 (b, n, k, x.shape[-1]))
-        out = phi(ad.concat([center, xj - center], axis=-1))
-        return ad.tmax(out, axis=2)
+    @staticmethod
+    def _edge_conv(x: Tensor, xj: Tensor, phi: Mlp) -> Tensor:
+        """phi(concat[x_i, x_j - x_i]) max-pooled over the K neighbors."""
+        hidden = ad.relu(edge_linear(x, xj, phi.fc1.weight) + phi.fc1.bias)
+        return ad.tmax(phi.fc2(hidden), axis=2)
 
     def _pose_code(self, frame: fr.Frame, points: Tensor,
-                   veq: Optional[Tensor], x: Tensor,
-                   knn: np.ndarray) -> Optional[Tensor]:
+                   veq: Optional[Tensor], x: Tensor, xj: Tensor,
+                   knn: np.ndarray) -> Tensor:
+        """Per-edge relative-pose code, (B,N,K,D) or (B,N,K,3,C)."""
         source = self.config.rpr_source
-        if source == "off":
-            return None
         if source == "coordinate":
             return coordinate_pose_code(frame, points, knn)
         if source == "handcrafted-ppf":
@@ -447,7 +436,6 @@ class FusionModel:
             projected = ad.matmul(veq, self.rpr_proj)
             return rpr_code(frame, projected, knn)
         b, n = x.shape[0], x.shape[1]
-        xj = gather_neighbors(x, knn)
         return xj - ad.reshape(x, (b, n, 1, x.shape[-1]))
 
     def forward(self, points, measure_invariance: bool = False,
@@ -475,18 +463,15 @@ class FusionModel:
             pair = fr.project_pair(veq, self.pair_proj)
         frame, bad_fraction = self._build_frames(pts, knn_coord, pair)
 
-        # first invariant convolution on frame-projected geometry
+        # first invariant convolution on frame-projected geometry: point i
+        # and its neighbors, all seen in frame i, U_i^T p_i and U_i^T p_j
         ut = ad.swap_last_axes(frame.matrix)
-        p_local = ad.matmul(ut, ad.reshape(pts, (b, n, 3, 1)))
-        p_local = ad.reshape(p_local, (b, n, 3))
-        pj = gather_neighbors(pts, knn_coord)
-        diff = pj - ad.reshape(pts, (b, n, 1, 3))
-        edge_local = ad.matmul(ad.reshape(ut, (b, n, 1, 3, 3)),
-                               ad.reshape(diff, (b, n, cfg.k, 3, 1)))
-        edge_local = ad.reshape(edge_local, (b, n, cfg.k, 3))
-        center = ad.broadcast_to(ad.reshape(p_local, (b, n, 1, 3)),
-                                 (b, n, cfg.k, 3))
-        x = ad.tmax(self.psi(ad.concat([center, edge_local], axis=-1)), axis=2)
+        p_local = ad.reshape(ad.matmul(ut, ad.reshape(pts, (b, n, 3, 1))),
+                             (b, n, 3))
+        pj = ad.reshape(gather_neighbors(pts, knn_coord), (b, n, cfg.k, 3, 1))
+        pj_local = ad.reshape(ad.matmul(ad.reshape(ut, (b, n, 1, 3, 3)), pj),
+                              (b, n, cfg.k, 3))
+        x = self._edge_conv(p_local, pj_local, self.psi)
 
         # later layers on a dynamic graph with optional pose gating
         for phi, gate in zip((self.phi1, self.phi2), self.gates):
@@ -494,8 +479,11 @@ class FusionModel:
                 idx = self._feature_graph(x.data)
             else:
                 idx = knn_coord
-            code = self._pose_code(frame, pts, veq, x, idx)
-            x = self._edge_conv(x, idx, phi, gate, code)
+            xj = gather_neighbors(x, idx)                   # (B,N,K,C)
+            if gate is not None:
+                code = self._pose_code(frame, pts, veq, x, xj, idx)
+                xj = gate(ad.reshape(code, code.shape[:3] + (-1,))) * xj
+            x = self._edge_conv(x, xj, phi)
 
         pooled_inv = ad.tmax(x, axis=1)
         logits_inv = self.cls_inv(pooled_inv)
@@ -531,11 +519,16 @@ class FusionModel:
         rot = sample_rotation_so3(np.random.default_rng(0))
         with ad.no_grad():
             rotated = self.forward(points @ rot.matrix.T, _invariance_probe=True)
-        ref = reference.prediction_logits.data
-        defect = np.abs(rotated.prediction_logits.data - ref).max()
-        return float(defect / max(np.abs(ref).max(), 1e-12))
+        return relative_defect(rotated.prediction_logits.data,
+                               reference.prediction_logits.data)
 
     __call__ = forward
+
+
+def relative_defect(logits: np.ndarray, reference: np.ndarray) -> float:
+    """max |logits - reference| / max |reference|; a NaN in either gives NaN."""
+    scale = np.maximum(np.abs(reference).max(), 1e-12)
+    return float(np.abs(logits - reference).max() / scale)
 
 
 def mean_knn_consistency(frame: fr.Frame, knn: np.ndarray, axis: int) -> float:
@@ -544,8 +537,5 @@ def mean_knn_consistency(frame: fr.Frame, knn: np.ndarray, axis: int) -> float:
     if u.ndim == 2:
         u = u[None]
         knn = knn[None] if knn.ndim == 2 else knn
-    b, n = u.shape[0], u.shape[1]
-    flat = u.reshape(b * n, 3)
-    offsets = (np.arange(b) * n)[:, None, None]
-    neighbors = flat[knn + offsets]
+    neighbors = gather_neighbors(Tensor(u), knn).data
     return float((u[:, :, None, :] * neighbors).sum(-1).mean())

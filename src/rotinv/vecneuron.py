@@ -60,17 +60,23 @@ def gather_neighbors(features: Tensor, knn: np.ndarray) -> Tensor:
     return ad.gather(flat, knn + offsets)
 
 
-def edge_features(v: Tensor, knn: np.ndarray) -> Tensor:
-    """Per-edge channels (v_r, v_j - v_r), shape (B, N, K, 3, 2C).
+def edge_linear(x: Tensor, xj: Tensor, weight: Tensor) -> Tensor:
+    """The edge-convolution linear: per-edge channels (x_i, x_j - x_i) times W.
 
-    The difference channel cancels any constant offset added to all points.
+    `x` is (B, N, ..., C) per point, `xj` is (B, N, K, ..., C) per edge and
+    `weight` is (2C, Cout); returns (B, N, K, ..., Cout).  With W_a, W_b the
+    first and last C rows of W,
+
+        concat[x_i, x_j - x_i] W = x_i (W_a - W_b) + x_j W_b,
+
+    so the center term is one product per point, broadcast over K by the add,
+    and no per-edge concat or broadcast copy is built.  The difference
+    channel cancels any constant offset added to all points.
     """
-    k = knn.shape[-1]
-    neighbors = gather_neighbors(v, knn)                          # (B,N,K,3,C)
-    b, n = v.shape[0], v.shape[1]
-    center = ad.broadcast_to(ad.reshape(v, (b, n, 1) + v.shape[2:]),
-                             (b, n, k) + v.shape[2:])
-    return ad.concat([center, neighbors - center], axis=-1)
+    c = x.shape[-1]
+    w_a, w_b = weight[:c], weight[c:]
+    x_i = ad.reshape(x, x.shape[:2] + (1,) + x.shape[2:])
+    return ad.matmul(x_i, w_a - w_b) + ad.matmul(xj, w_b)
 
 
 class VnEdgeConv:
@@ -96,8 +102,8 @@ class VnEdgeConv:
     def __call__(self, v: Tensor, knn: np.ndarray) -> Tensor:
         if knn.shape[-1] == 0:
             raise ValueError("empty neighborhood: edge convolution needs k >= 1")
-        edges = edge_features(v, knn)
-        out = vn_nonlinearity(vn_linear(edges, self.weight), self.direction)
+        mixed = edge_linear(v, gather_neighbors(v, knn), self.weight)
+        out = vn_nonlinearity(mixed, self.direction)
         return ad.mean(out, axis=2)
 
 

@@ -1,8 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from rotinv import checks
 from rotinv.dataset import DatasetSpec, generate_dataset
 from rotinv.harness import (DivergenceError, Protocol, RunReport, TrainConfig,
                             accuracy_gap, evaluate, export_frame_field,
@@ -140,6 +142,36 @@ class TestEvaluation:
         sensitive = FusionModel(named_config("identity-frames", **TINY_MODEL))
         assert invariance_defect(sensitive, quick_dataset.test[:2],
                                  n_rotations=5, seed=0) > 1e-3
+
+    def test_invariance_defect_propagates_nan(self, quick_dataset):
+        # finite reference logits, all-NaN logits on every rotated copy
+        model = NanOnRotationModel()
+        defect = invariance_defect(model, quick_dataset.test[:2],
+                                   n_rotations=3, seed=0)
+        assert np.isnan(defect)
+
+    def test_end_to_end_check_fails_on_nan_logits(self, monkeypatch):
+        monkeypatch.setattr(checks, "FusionModel",
+                            lambda cfg: NanOnRotationModel())
+        result = checks.check_end_to_end_invariance(n_rotations=2, seed=0)
+        assert not result.passed
+        assert np.isnan(result.statistic)
+        assert "stable=False" in result.detail
+
+
+class NanOnRotationModel:
+    """Stub model: class-0 logits on its first forward, NaN afterwards."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def forward(self, points):
+        self.calls += 1
+        logits = np.zeros((len(points), 4))
+        logits[:, 0] = 1.0
+        if self.calls > 1:
+            logits[:] = np.nan
+        return SimpleNamespace(prediction_logits=SimpleNamespace(data=logits))
 
 
 class TestPerturbationSweep:

@@ -328,3 +328,28 @@ def test_mean_knn_consistency_identity_frames():
     knn = np.zeros((1, 6, 2), dtype=int)
     assert mean_knn_consistency(frames, knn, 1) == pytest.approx(1.0)
     assert mean_knn_consistency(frames, knn, 2) == pytest.approx(1.0)
+
+
+def test_edge_convolutions_build_no_per_edge_copies(rng):
+    # edge_linear folds the center term in by broadcasting, so no concat or
+    # broadcast_to on the training tape carries the K neighbor axis; the
+    # frame axes' stack is the only concat left
+    cfg = named_config("full", **TINY_MODEL)
+    model = FusionModel(cfg)
+    b, n = 2, 20
+    out = model.forward(centered_cloud_batch(rng, b=b, n=n))
+    loss, _ = total_loss(out.logits_inv, out.logits_eqv, out.logits_fused,
+                         np.array([0, 1]), cfg.lambda_orth, cfg.lambda_consist,
+                         pair=out.pair, knn=out.knn_coord)
+    seen, stack, copies = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._op in ("concat", "broadcast_to"):
+            copies.append((node._op, node.shape))
+        stack.extend(node._parents)
+    per_edge = [c for c in copies if c[1][:3] == (b, n, cfg.k)]
+    assert per_edge == []
+    assert copies, "the frame stack should still be on the tape"

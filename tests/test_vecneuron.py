@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from rotinv import autodiff as ad
 from rotinv.geometry import KnnGraph, knn_graph, sample_rotation_so3
 from rotinv.gradcheck import check_tensor_gradient
-from rotinv.vecneuron import (EquivariantEncoder, VnEdgeConv, edge_features,
-                              vn_invariant_head, vn_linear, vn_nonlinearity)
+from rotinv.vecneuron import (EquivariantEncoder, VnEdgeConv, edge_linear,
+                              gather_neighbors, vn_invariant_head, vn_linear,
+                              vn_nonlinearity)
 
 
 def rotate_channels(rot, v):
@@ -80,18 +81,59 @@ class TestVnNonlinearity:
         assert err <= 1e-4
 
 
+def concat_edge_linear(x, xj, w):
+    """Reference form of edge_linear: build concat[x_i, x_j - x_i], then W."""
+    center = np.broadcast_to(np.expand_dims(x, 2), xj.shape)
+    return np.concatenate([center, xj - center], axis=-1) @ w
+
+
+def edge_inputs(rng, vector: bool, b=2, n=7, k=3, c=4, c_out=5):
+    """Per-point x, gathered x_j and a (2C, Cout) weight; (B,N,[3,]C)."""
+    shape = (b, n, 3, c) if vector else (b, n, c)
+    x = rng.standard_normal(shape)
+    idx = np.stack([knn_graph(p.reshape(n, -1), k).indices for p in x])
+    xj = gather_neighbors(ad.Tensor(x), idx).data
+    return x, xj, rng.standard_normal((2 * c, c_out))
+
+
 class TestEdgeFeatures:
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_matches_concat_form(self, rng, vector):
+        # 4-D invariant (B,N,K,C) and 5-D vector-neuron (B,N,K,3,C) edges
+        x, xj, w = edge_inputs(rng, vector)
+        ours = edge_linear(ad.Tensor(x), ad.Tensor(xj), ad.Tensor(w)).data
+        reference = concat_edge_linear(x, xj, w)
+        assert ours.shape == reference.shape
+        assert np.abs(ours - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_gradient(self, rng, vector):
+        x, xj, w = edge_inputs(rng, vector, b=1, n=5, k=2, c=2, c_out=3)
+        weights = ad.Tensor(rng.standard_normal(concat_edge_linear(x, xj, w).shape))
+        cases = {"x": (x, lambda t: edge_linear(t, ad.Tensor(xj), ad.Tensor(w))),
+                 "xj": (xj, lambda t: edge_linear(ad.Tensor(x), t, ad.Tensor(w))),
+                 "weight": (w, lambda t: edge_linear(ad.Tensor(x), ad.Tensor(xj), t))}
+        for name, (value, fn) in cases.items():
+            err = check_tensor_gradient(lambda t: ad.tsum(fn(t) * weights), value)
+            assert err <= 1e-4, name
+
     def test_difference_channel_cancels_offsets(self, rng):
+        # with the center rows W_a zeroed only x_j - x_i reaches the output,
+        # so shifting every point by one offset leaves it unchanged
         pts = rng.standard_normal((1, 10, 3))
         idx = knn_graph(pts[0], 3).indices[None]
-        v = ad.Tensor(pts[..., None])
-        shifted = ad.Tensor((pts + np.array([5.0, -2.0, 1.0]))[..., None])
-        ours = edge_features(v, idx).data
-        theirs = edge_features(shifted, idx).data
-        c = v.data.shape[-1]
-        # second half of the channels (the neighbor differences) is unchanged
-        np.testing.assert_allclose(theirs[..., c:], ours[..., c:], atol=1e-12)
-        assert np.abs(theirs[..., :c] - ours[..., :c]).max() > 1.0
+        w = rng.standard_normal((2, 4))
+        w_diff = w.copy()
+        w_diff[:1] = 0.0
+
+        def edges(p, weight):
+            v = ad.Tensor(p[..., None])
+            return edge_linear(v, gather_neighbors(v, idx), ad.Tensor(weight)).data
+
+        shifted = pts + np.array([5.0, -2.0, 1.0])
+        np.testing.assert_allclose(edges(shifted, w_diff), edges(pts, w_diff),
+                                   atol=1e-12)
+        assert np.abs(edges(shifted, w) - edges(pts, w)).max() > 1.0
 
     def test_empty_neighborhood_rejected(self):
         conv = VnEdgeConv("t", 1, 4, seed=0)
