@@ -229,9 +229,9 @@ def log(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _from_op(np.where(mask, a.data, 0.0), "relu", (a,),
-                    (lambda g: g * mask,))
+    # np.maximum propagates NaN; the mask is only built when backward runs
+    return _from_op(np.maximum(a.data, 0.0), "relu", (a,),
+                    (lambda g: g * (a.data > 0),))
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +340,19 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """Max over one axis; backward routes to the argmax (lowest index on ties)."""
-    idx = np.argmax(a.data, axis=axis)  # first occurrence wins ties
-    data = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis)
-    if not keepdims:
-        data = np.squeeze(data, axis=axis)
+    """Max over one axis; backward routes to the argmax (lowest index on ties).
+
+    The argmax is found only when backward runs, so inference pays for the
+    max alone.
+    """
+    data = a.data.max(axis=axis, keepdims=keepdims)
 
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
+        idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)  # first wins ties
         out = np.zeros(a.shape)
-        np.put_along_axis(out, np.expand_dims(idx, axis), g, axis=axis)
+        np.put_along_axis(out, idx, g, axis=axis)
         return out
 
     return _from_op(data, "max", (a,), (vjp,))
@@ -374,6 +376,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
 
     return _from_op(data, "matmul", (a, b), (vjp_a, vjp_b))
+
+
+def addmm(c: Tensor, a: Tensor, b: Tensor) -> Tensor:
+    """c + a @ b for a 2-D weight `b`; `c` broadcasts to the product's shape.
+
+    The add runs in place on the freshly allocated product, so a bias or a
+    per-point term costs no second full-size array.
+    """
+    if b.ndim != 2:
+        raise ValueError(f"addmm needs a 2-D weight, got shape {b.shape}")
+    data = a.data @ b.data
+    np.add(data, c.data, out=data)
+
+    def vjp_b(g):
+        return a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+    return _from_op(data, "addmm", (c, a, b),
+                    (lambda g: _unbroadcast(g, c.shape),
+                     lambda g: g @ b.data.T,
+                     vjp_b))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -485,14 +507,6 @@ def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
     return lr0 * (1.0 + np.cos(np.pi * epoch / total_epochs)) / 2.0
 
 
-def sgd_step(values: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
-             lr: float, momentum: float = 0.0, weight_decay: float = 0.0):
-    """One SGD-with-momentum update; returns (new_values, new_velocity)."""
-    g = grad + weight_decay * values if weight_decay else grad
-    v = momentum * velocity + g
-    return values - lr * v, v
-
-
 class SGD:
     """SGD with momentum and weight decay over a list of Parameters."""
 
@@ -507,11 +521,13 @@ class SGD:
         self._velocity = [np.zeros(p.shape) for p in self.params]
 
     def step(self) -> None:
+        """v <- momentum * v + (grad + weight_decay * p); p <- p - lr * v."""
         for p, v in zip(self.params, self._velocity):
             g = p.grad if p.grad is not None else np.zeros(p.shape)
-            p.data, v_new = sgd_step(p.data, g, v, self.lr,
-                                     self.momentum, self.weight_decay)
-            v[...] = v_new
+            if self.weight_decay:
+                g = g + self.weight_decay * p.data
+            v[...] = self.momentum * v + g
+            p.data = p.data - self.lr * v
 
     def zero_grad(self) -> None:
         zero_grad(self.params)

@@ -19,7 +19,7 @@ from .geometry import knn_graph, sample_rotation_so3
 from .gradcheck import check_tensor_gradient, directional_derivative_error
 from .harness import Protocol, TrainConfig, evaluate, run_experiment
 from .network import FusionModel, named_config, relative_defect, total_loss
-from .vecneuron import EquivariantEncoder
+from .vecneuron import EquivariantEncoder, gather_neighbors, vn_nonlinearity
 
 
 @dataclass
@@ -204,8 +204,24 @@ def check_gradient_suite(seed: int = 0) -> CheckResult:
         frame, _ = fr.lcrf_frame(p)
         return ad.tsum(frame.matrix * ad.Tensor(weights_gs))
 
+    def addmm_loss(t: ad.Tensor) -> ad.Tensor:
+        # per-point c broadcast over the neighbours, per-edge a, 2-D b: the
+        # shape edge_linear uses
+        out = ad.addmm(ad.reshape(t[0], (10, 1, 3)),
+                       gather_neighbors(ad.reshape(t[1], (1, 10, 3)),
+                                        knn.indices[None])[0], t[0, :3])
+        return ad.tsum(out * ad.Tensor(weights_edge))
+
+    def vn_loss(t: ad.Tensor) -> ad.Tensor:
+        v = ad.transpose(t, (1, 2, 0))                   # (10, 3, 2)
+        return ad.tsum(vn_nonlinearity(v, ad.reshape(t[1, 0, :2], (2, 1)))
+                       * ad.Tensor(weights_vn))
+
     weights_gs = rng.standard_normal((10, 3, 3))
-    for name, f in [("gram-schmidt-frame", gs_loss), ("bisector-frame", bisector_loss)]:
+    weights_edge = rng.standard_normal((10, 4, 3))
+    weights_vn = rng.standard_normal((10, 3, 2))
+    for name, f in [("gram-schmidt-frame", gs_loss), ("bisector-frame", bisector_loss),
+                    ("addmm", addmm_loss), ("vn-nonlinearity", vn_loss)]:
         err = check_tensor_gradient(f, raw)
         worst = max(worst, err)
         details.append(f"{name}={err:.2g}")

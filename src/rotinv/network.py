@@ -124,7 +124,7 @@ class Linear:
         return [self.weight, self.bias]
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.matmul(x, self.weight) + self.bias
+        return ad.addmm(self.bias, x, self.weight)
 
 
 class Mlp:
@@ -419,9 +419,13 @@ class FusionModel:
 
     @staticmethod
     def _edge_conv(x: Tensor, xj: Tensor, phi: Mlp) -> Tensor:
-        """phi(concat[x_i, x_j - x_i]) max-pooled over the K neighbors."""
-        hidden = ad.relu(edge_linear(x, xj, phi.fc1.weight) + phi.fc1.bias)
-        return ad.tmax(phi.fc2(hidden), axis=2)
+        """phi(concat[x_i, x_j - x_i]) max-pooled over the K neighbors.
+
+        The fc2 bias is added after the pool: rounding is monotone, so
+        max_k(h_k + b) and max_k(h_k) + b are the same float.
+        """
+        hidden = ad.relu(edge_linear(x, xj, phi.fc1.weight, phi.fc1.bias))
+        return ad.tmax(ad.matmul(hidden, phi.fc2.weight), axis=2) + phi.fc2.bias
 
     def _pose_code(self, frame: fr.Frame, points: Tensor,
                    veq: Optional[Tensor], x: Tensor, xj: Tensor,

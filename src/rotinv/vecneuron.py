@@ -38,14 +38,56 @@ def vn_linear(v: Tensor, weight: Tensor) -> Tensor:
 def vn_nonlinearity(v: Tensor, direction_weight: Tensor) -> Tensor:
     """Truncate each channel against the learned direction k = V @ w.
 
-    Channels with a non-negative component along k pass through; the rest
-    have their negative component along k projected out.  k co-rotates with
-    the input, so the map is equivariant.
+    Channels with a non-negative component along k_hat = k / max(|k|, eps)
+    pass through; the rest have their negative component along k_hat
+    projected out: v - min(v . k_hat, 0) k_hat.  k co-rotates with the
+    input, so the map is equivariant.  This is one tape node: the per-channel
+    products and sums stay inside it.
     """
-    k = ad.matmul(v, direction_weight)            # (..., 3, 1)
-    khat = ad.normalize(k, axis=-2)
-    dot = ad.tsum(v * khat, axis=-2, keepdims=True)   # (..., 1, C)
-    return v + ad.relu(-dot) * khat
+    w = direction_weight
+    k = v.data @ w.data                                    # (..., 3, 1)
+    norm = np.sqrt((k * k).sum(axis=-2, keepdims=True))
+    guarded = np.maximum(norm, ad.NORM_EPS)
+    khat = k / guarded
+    if not ad._all_finite(khat):
+        raise ad.NumericError("vn_nonlinearity")
+    # the einsums contract without building a full-size product first
+    dot = np.einsum("...dc,...dx->...xc", v.data, khat)   # (..., 1, C)
+    trunc = np.minimum(dot, 0.0)
+    out = np.einsum("...xc,...dx->...dc", trunc, khat)
+    np.subtract(v.data, out, out=out)
+
+    memo: list = []
+
+    def shared(g):
+        # backward hands both parents the same g; the small per-channel and
+        # per-direction terms are computed once for the two of them
+        if not memo or memo[0] is not g:
+            # d out / d dot = -k_hat where dot < 0, else 0
+            gdot = np.einsum("...dc,...dx->...xc", g, khat)
+            gdot *= dot < 0
+            gdot *= -1.0
+            gkhat = (np.einsum("...dc,...xc->...d", v.data, gdot)
+                     - np.einsum("...dc,...xc->...d", g, trunc))[..., None]
+            # normalize's backward; below the guard the norm is a constant
+            radial = (gkhat * k).sum(axis=-2, keepdims=True)
+            gk = gkhat / guarded - np.where(norm > ad.NORM_EPS,
+                                            k * radial / guarded**3, 0.0)
+            memo[:] = [g, gdot, gk]
+        return memo[1], memo[2]
+
+    def vjp_v(g):
+        gdot, gk = shared(g)
+        grad = np.einsum("...dx,...xc->...dc", khat, gdot)
+        grad += g
+        grad += gk * w.data.T
+        return grad
+
+    def vjp_w(g):
+        _, gk = shared(g)
+        return v.data.reshape(-1, v.shape[-1]).T @ gk.reshape(-1, 1)
+
+    return ad._from_op(out, "vn_nonlinearity", (v, w), (vjp_v, vjp_w))
 
 
 def gather_neighbors(features: Tensor, knn: np.ndarray) -> Tensor:
@@ -60,23 +102,27 @@ def gather_neighbors(features: Tensor, knn: np.ndarray) -> Tensor:
     return ad.gather(flat, knn + offsets)
 
 
-def edge_linear(x: Tensor, xj: Tensor, weight: Tensor) -> Tensor:
+def edge_linear(x: Tensor, xj: Tensor, weight: Tensor,
+                bias: Tensor | None = None) -> Tensor:
     """The edge-convolution linear: per-edge channels (x_i, x_j - x_i) times W.
 
     `x` is (B, N, ..., C) per point, `xj` is (B, N, K, ..., C) per edge and
     `weight` is (2C, Cout); returns (B, N, K, ..., Cout).  With W_a, W_b the
     first and last C rows of W,
 
-        concat[x_i, x_j - x_i] W = x_i (W_a - W_b) + x_j W_b,
+        concat[x_i, x_j - x_i] W + bias = (x_i (W_a - W_b) + bias) + x_j W_b,
 
-    so the center term is one product per point, broadcast over K by the add,
-    and no per-edge concat or broadcast copy is built.  The difference
-    channel cancels any constant offset added to all points.
+    so the center term and the bias are one product per point, added in
+    place onto the per-edge product, and no per-edge concat, broadcast copy
+    or bias add is built.  The difference channel cancels any constant
+    offset added to all points.
     """
     c = x.shape[-1]
     w_a, w_b = weight[:c], weight[c:]
     x_i = ad.reshape(x, x.shape[:2] + (1,) + x.shape[2:])
-    return ad.matmul(x_i, w_a - w_b) + ad.matmul(xj, w_b)
+    center = (ad.matmul(x_i, w_a - w_b) if bias is None
+              else ad.addmm(bias, x_i, w_a - w_b))
+    return ad.addmm(center, xj, w_b)
 
 
 class VnEdgeConv:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from rotinv import autodiff as ad
 from rotinv.gradcheck import check_tensor_gradient, finite_difference_gradient
+from rotinv.vecneuron import vn_nonlinearity
 
 
 class TestForwardBasics:
@@ -36,6 +37,14 @@ class TestForwardBasics:
         with pytest.raises(ad.NumericError) as err:
             ad.sqrt(ad.Tensor([-1.0]))
         assert err.value.op == "sqrt"
+
+    def test_relu_propagates_nan(self):
+        # a NaN upstream must reach the loss, where the training loop checks
+        x = ad.Tensor([1e308, -1.0, 2.0])
+        with np.errstate(all="ignore"):
+            z = x * 10.0 - x * 10.0
+        assert np.isnan(ad.relu(z).data[0])
+        np.testing.assert_array_equal(ad.relu(x).data[1:], [0.0, 2.0])
 
     def test_strict_mode_checks_every_op(self):
         big = ad.Tensor(np.full(4, 1e308))
@@ -123,6 +132,20 @@ PRIMITIVE_CASES = [
     ("where", lambda t: ad.tsum(ad.where(CONST_45 > 0, t * 2.0, t * t))),
     ("cross", lambda t: ad.tsum(ad.cross(t[:, :3], ad.Tensor(CONST_43))
                                 * ad.Tensor(CONST_43))),
+    # c + a @ b with every parent a function of t: a per-point c broadcast
+    # over a neighbour axis, and a bias c, with 2-D and 4-D a
+    ("addmm", lambda t: ad.tsum(ad.addmm(ad.reshape(t[:, :3], (4, 1, 3)),
+                                         ad.reshape(t * t, (4, 5, 1)),
+                                         t[:1, :3] + 1.0) * ad.Tensor(CONST_453))),
+    ("addmm_bias", lambda t: ad.tsum(ad.addmm(t[0], t * 0.5, t[1:, :]
+                                              [np.array([0, 1, 2, 0, 1])])
+                                     * ad.Tensor(CONST_45))),
+    ("addmm_4d", lambda t: ad.tsum(ad.addmm(t[0, :2], ad.reshape(t, (2, 2, 5, 1)),
+                                           ad.reshape(t[1, 3:], (1, 2)))
+                                   * ad.Tensor(CONST_453[:, :, :2].reshape(2, 2, 5, 2)))),
+    ("vn_nonlinearity", lambda t: ad.tsum(vn_nonlinearity(
+        ad.reshape(t[:3, :4], (1, 3, 4)) * ad.Tensor(CONST_453[:3, :4, 0]),
+        ad.reshape(t[3, :4], (4, 1))) * ad.Tensor(CONST_453[:3, :4, 1]))),
 ]
 
 
@@ -156,25 +179,30 @@ class TestGradientOracle:
         np.testing.assert_allclose(grad, [2.0, -4.0], atol=1e-6)
 
 
+def sgd_steps(values, grads, **kwargs):
+    """Run SGD on one parameter, one step per gradient; returns it and its velocity."""
+    p = ad.Parameter("p", np.array(values))
+    opt = ad.SGD([p], **kwargs)
+    for g in grads:
+        p.grad = np.array(g)
+        opt.step()
+    return p.data, opt._velocity[0]
+
+
 class TestOptimizer:
     def test_vanilla_sgd(self):
-        values, velocity = ad.sgd_step(np.array([1.0, 2.0]), np.array([0.5, -1.0]),
-                                       np.zeros(2), lr=0.1)
+        values, velocity = sgd_steps([1.0, 2.0], [[0.5, -1.0]], lr=0.1)
         np.testing.assert_allclose(values, [0.95, 2.1])
         np.testing.assert_allclose(velocity, [0.5, -1.0])
 
     def test_momentum_accumulates(self):
-        v0 = np.zeros(1)
-        p, v = ad.sgd_step(np.array([0.0]), np.array([1.0]), v0, lr=1.0,
-                           momentum=0.5)
-        p, v = ad.sgd_step(p, np.array([1.0]), v, lr=1.0, momentum=0.5)
+        p, v = sgd_steps([0.0], [[1.0], [1.0]], lr=1.0, momentum=0.5)
         # velocity: 1, then 1.5; parameter: -1, then -2.5
         np.testing.assert_allclose(v, [1.5])
         np.testing.assert_allclose(p, [-2.5])
 
     def test_weight_decay(self):
-        p, _ = ad.sgd_step(np.array([2.0]), np.array([0.0]), np.zeros(1),
-                           lr=0.5, weight_decay=0.1)
+        p, _ = sgd_steps([2.0], [[0.0]], lr=0.5, weight_decay=0.1)
         np.testing.assert_allclose(p, [1.9])
 
     def test_sgd_class_matches_manual(self):

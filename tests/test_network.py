@@ -331,9 +331,11 @@ def test_mean_knn_consistency_identity_frames():
 
 
 def test_edge_convolutions_build_no_per_edge_copies(rng):
-    # edge_linear folds the center term in by broadcasting, so no concat or
-    # broadcast_to on the training tape carries the K neighbor axis; the
-    # frame axes' stack is the only concat left
+    # edge_linear folds the center term and the bias into one in-place add,
+    # so the training tape carries no concat, broadcast_to or add with the K
+    # neighbor axis; the VN nonlinearity is one node, so no per-edge mul or
+    # sum has a vector axis (B, N, K, 3 or 1, C).  The frame axes' stack is
+    # the only concat left.
     cfg = named_config("full", **TINY_MODEL)
     model = FusionModel(cfg)
     b, n = 2, 20
@@ -341,15 +343,32 @@ def test_edge_convolutions_build_no_per_edge_copies(rng):
     loss, _ = total_loss(out.logits_inv, out.logits_eqv, out.logits_fused,
                          np.array([0, 1]), cfg.lambda_orth, cfg.lambda_consist,
                          pair=out.pair, knn=out.knn_coord)
-    seen, stack, copies = set(), [loss], []
+    seen, stack, nodes = set(), [loss], []
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        if node._op in ("concat", "broadcast_to"):
-            copies.append((node._op, node.shape))
+        nodes.append((node._op, node.shape))
         stack.extend(node._parents)
-    per_edge = [c for c in copies if c[1][:3] == (b, n, cfg.k)]
-    assert per_edge == []
-    assert copies, "the frame stack should still be on the tape"
+    per_edge = [c for c in nodes if c[1][:3] == (b, n, cfg.k)]
+    for op in ("concat", "broadcast_to", "add"):
+        assert [c for c in per_edge if c[0] == op] == [], op
+    vector_edge = [c for c in per_edge if len(c[1]) == 5]
+    assert [c for c in vector_edge if c[0] in ("mul", "sum")] == []
+    assert sorted(c[1] for c in vector_edge if c[0] == "vn_nonlinearity") == [
+        (b, n, cfg.k, 3, w) for w in TINY_MODEL["vn_widths"]]
+    assert any(op == "concat" for op, _ in nodes), "the frame stack should stay"
+
+
+def test_max_without_grad_matches_max_with_grad(rng):
+    # no_grad skips the argmax; the values must not depend on it
+    x = rng.standard_normal((3, 6, 4))
+    x[0, 2] = x[0, 4]                                  # exact ties
+    x[1, :, 0] = 1.5
+    with_grad = ad.tmax(ad.Tensor(x, requires_grad=True), axis=1)
+    with ad.no_grad():
+        without = ad.tmax(ad.Tensor(x, requires_grad=True), axis=1)
+    assert with_grad.requires_grad and not without.requires_grad
+    np.testing.assert_array_equal(without.data, with_grad.data)
+    np.testing.assert_array_equal(without.data, x.max(axis=1))

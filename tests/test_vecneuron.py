@@ -81,6 +81,80 @@ class TestVnNonlinearity:
         assert err <= 1e-4
 
 
+def composed_vn_nonlinearity(v, w):
+    """Reference form of vn_nonlinearity, op by op: v + relu(-v . k_hat) k_hat."""
+    khat = ad.normalize(ad.matmul(v, w), axis=-2)
+    dot = ad.tsum(v * khat, axis=-2, keepdims=True)
+    return v + ad.relu(-dot) * khat
+
+
+def fused_and_composed(v, w, weights, v_grad=True):
+    """Value and (v, w) gradients of sum(f(v, w) * weights) for both forms."""
+    results = []
+    for fn in (vn_nonlinearity, composed_vn_nonlinearity):
+        vt = ad.Tensor(v, requires_grad=v_grad)
+        wt = ad.Tensor(w, requires_grad=True)
+        out = fn(vt, wt)
+        ad.backward(ad.tsum(out * ad.Tensor(weights)))
+        results.append((out, vt.grad, wt.grad))
+    return results
+
+
+def relative(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+class TestFusedVnNonlinearity:
+    """The one-node nonlinearity against the op-by-op form it replaces."""
+
+    def test_matches_composed_form(self, rng):
+        v = rng.standard_normal((2, 5, 3, 3, 6))     # (B, N, K, 3, C)
+        w = rng.standard_normal((6, 1))
+        (out, gv, gw), (ref, ref_gv, ref_gw) = fused_and_composed(
+            v, w, rng.standard_normal(v.shape))
+        assert out._op == "vn_nonlinearity" and len(out._parents) == 2
+        assert relative(out.data, ref.data) <= 1e-14
+        assert relative(gv, ref_gv) <= 1e-14
+        assert relative(gw, ref_gw) <= 1e-14
+        # both branches ran: some channels were truncated, some passed
+        truncated = np.abs(out.data - v).max(axis=-2) > 0
+        assert truncated.any() and not truncated.all()
+
+    def test_zero_direction_row_passes_through(self, rng):
+        # k = V w vanishes at one point; the norm guard keeps it finite and
+        # the point's features pass unchanged
+        v = rng.standard_normal((3, 3, 4))
+        w = np.array([[1.0], [-1.0], [0.5], [2.0]])
+        v[1, :, 0] = v[1, :, 1]
+        v[1, :, 2:] = 0.0                             # k = 0 at point 1
+        (out, gv, gw), (ref, ref_gv, ref_gw) = fused_and_composed(
+            v, w, rng.standard_normal(v.shape))
+        np.testing.assert_array_equal(out.data[1], v[1])
+        assert np.isfinite(gv).all() and np.isfinite(gw).all()
+        assert relative(gv, ref_gv) <= 1e-14
+        assert relative(gw, ref_gw) <= 1e-14
+
+    def test_non_finite_direction_raises(self):
+        v = ad.Tensor(np.full((1, 3, 2), 1e300))
+        with np.errstate(all="ignore"), pytest.raises(ad.NumericError) as err:
+            vn_nonlinearity(v, ad.Tensor(np.full((2, 1), 1e300)))
+        assert err.value.op == "vn_nonlinearity"
+
+    def test_first_layer_grad_reaches_direction_only(self, rng):
+        # the encoder's first layer sees raw points, which need no gradient
+        v = rng.standard_normal((4, 3, 5))
+        w = rng.standard_normal((5, 1))
+        weights = rng.standard_normal(v.shape)
+        (out, gv, gw), (_, _, ref_gw) = fused_and_composed(v, w, weights,
+                                                           v_grad=False)
+        assert gv is None and len(out._parents) == 1
+        assert relative(gw, ref_gw) <= 1e-14
+        err = check_tensor_gradient(
+            lambda t: ad.tsum(vn_nonlinearity(ad.Tensor(v), t)
+                              * ad.Tensor(weights)), w)
+        assert err <= 1e-4
+
+
 def concat_edge_linear(x, xj, w):
     """Reference form of edge_linear: build concat[x_i, x_j - x_i], then W."""
     center = np.broadcast_to(np.expand_dims(x, 2), xj.shape)
@@ -99,20 +173,27 @@ def edge_inputs(rng, vector: bool, b=2, n=7, k=3, c=4, c_out=5):
 class TestEdgeFeatures:
     @pytest.mark.parametrize("vector", [False, True])
     def test_matches_concat_form(self, rng, vector):
-        # 4-D invariant (B,N,K,C) and 5-D vector-neuron (B,N,K,3,C) edges
+        # 4-D invariant (B,N,K,C) and 5-D vector-neuron (B,N,K,3,C) edges,
+        # without and with a bias
         x, xj, w = edge_inputs(rng, vector)
-        ours = edge_linear(ad.Tensor(x), ad.Tensor(xj), ad.Tensor(w)).data
-        reference = concat_edge_linear(x, xj, w)
-        assert ours.shape == reference.shape
-        assert np.abs(ours - reference).max() <= 1e-12 * np.abs(reference).max()
+        bias = rng.standard_normal(w.shape[1])
+        for b in (None, bias):
+            ours = edge_linear(ad.Tensor(x), ad.Tensor(xj), ad.Tensor(w),
+                               None if b is None else ad.Tensor(b)).data
+            reference = concat_edge_linear(x, xj, w) + (0.0 if b is None else b)
+            assert ours.shape == reference.shape
+            assert np.abs(ours - reference).max() <= 1e-12 * np.abs(reference).max()
 
     @pytest.mark.parametrize("vector", [False, True])
     def test_gradient(self, rng, vector):
         x, xj, w = edge_inputs(rng, vector, b=1, n=5, k=2, c=2, c_out=3)
+        bias = rng.standard_normal(3)
         weights = ad.Tensor(rng.standard_normal(concat_edge_linear(x, xj, w).shape))
         cases = {"x": (x, lambda t: edge_linear(t, ad.Tensor(xj), ad.Tensor(w))),
                  "xj": (xj, lambda t: edge_linear(ad.Tensor(x), t, ad.Tensor(w))),
-                 "weight": (w, lambda t: edge_linear(ad.Tensor(x), ad.Tensor(xj), t))}
+                 "weight": (w, lambda t: edge_linear(ad.Tensor(x), ad.Tensor(xj), t)),
+                 "bias": (bias, lambda t: edge_linear(ad.Tensor(x), ad.Tensor(xj),
+                                                      ad.Tensor(w), t))}
         for name, (value, fn) in cases.items():
             err = check_tensor_gradient(lambda t: ad.tsum(fn(t) * weights), value)
             assert err <= 1e-4, name
