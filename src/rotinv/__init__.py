@@ -7,7 +7,7 @@ from .frames import (BisectorIntermediates, DegenerateFrameError, Frame,
                      ProjectedPair, consistency, consistency_loss,
                      gram_schmidt_frame, handcrafted_frame, lcrf_frame,
                      orthogonality_loss)
-from .geometry import (DegenerateInputError, KnnGraph, PointCloud, Rotation,
+from .geometry import (DegenerateInputError, PointCloud, Rotation,
                        add_gaussian_noise, apply_rotation, center_and_scale,
                        drop_points, knn_graph, sample_rotation_so3,
                        sample_rotation_z)

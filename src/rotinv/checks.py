@@ -2,10 +2,12 @@
 
 Each check returns a CheckResult; the suite passes only if every check
 does.  Training-based checks run on a reduced desk profile chosen so the
-whole suite finishes on one core well inside its runtime budget.
+whole suite finishes on one core well inside its runtime budget; a model
+config and seed shared by several checks is trained once per process.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -14,11 +16,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import frames as fr
-from .dataset import DatasetSpec, generate_dataset
+from .dataset import DatasetSpec, SyntheticDataset, generate_dataset
 from .geometry import knn_graph, sample_rotation_so3
 from .gradcheck import check_tensor_gradient, directional_derivative_error
-from .harness import Protocol, TrainConfig, evaluate, run_experiment
-from .network import FusionModel, named_config, relative_defect, total_loss
+from .harness import Protocol, RunReport, TrainConfig, evaluate, run_experiment
+from .network import (FusionModel, ModelConfig, named_config, relative_defect,
+                      total_loss)
 from .vecneuron import EquivariantEncoder, gather_neighbors, vn_nonlinearity
 
 
@@ -81,7 +84,7 @@ def check_equivariance(n_pairs: int = 100, seed: int = 0) -> CheckResult:
     for _ in range(n_pairs):
         pts = rng.standard_normal((1, 24, 3))
         rot = sample_rotation_so3(rng).matrix
-        knn = knn_graph(pts[0], 6).indices[None]
+        knn = knn_graph(pts[0], 6)[None]
         with ad.no_grad():
             v = encoder(ad.Tensor(pts), knn).data
             v_rot = encoder(ad.Tensor(pts @ rot.T), knn).data
@@ -173,7 +176,7 @@ def check_gradient_suite(seed: int = 0) -> CheckResult:
     worst = 0.0
     details = []
 
-    knn = knn_graph(rng.standard_normal((10, 3)), 4)
+    knn = knn_graph(rng.standard_normal((10, 3)), 4)[None]
 
     def orth(t: ad.Tensor) -> ad.Tensor:
         p = fr.ProjectedPair(ad.normalize(t[0], axis=-1), ad.normalize(t[1], axis=-1))
@@ -184,7 +187,8 @@ def check_gradient_suite(seed: int = 0) -> CheckResult:
         return fr.orthogonality_loss(p, squared=True)
 
     def consist(t: ad.Tensor) -> ad.Tensor:
-        p = fr.ProjectedPair(ad.normalize(t[0], axis=-1), ad.normalize(t[1], axis=-1))
+        p = fr.ProjectedPair(ad.normalize(t[0:1], axis=-1),
+                             ad.normalize(t[1:2], axis=-1))
         return fr.consistency_loss(p, knn)
 
     raw = rng.standard_normal((2, 10, 3))
@@ -208,8 +212,8 @@ def check_gradient_suite(seed: int = 0) -> CheckResult:
         # per-point c broadcast over the neighbours, per-edge a, 2-D b: the
         # shape edge_linear uses
         out = ad.addmm(ad.reshape(t[0], (10, 1, 3)),
-                       gather_neighbors(ad.reshape(t[1], (1, 10, 3)),
-                                        knn.indices[None])[0], t[0, :3])
+                       gather_neighbors(ad.reshape(t[1], (1, 10, 3)), knn)[0],
+                       t[0, :3])
         return ad.tsum(out * ad.Tensor(weights_edge))
 
     def vn_loss(t: ad.Tensor) -> ad.Tensor:
@@ -290,7 +294,7 @@ def check_knn_bruteforce(n_clouds: int = 200, seed: int = 0) -> CheckResult:
             dists.sort()
             oracle = [j for _, j in dists[:k]]
             total += 1
-            if list(graph.indices[i]) != oracle:
+            if list(graph[i]) != oracle:
                 mismatches += 1
     return CheckResult("knn-bruteforce", mismatches == 0, float(mismatches), 0.0,
                        f"{total} rows over {n_clouds} clouds", time.time() - started)
@@ -300,35 +304,45 @@ def check_knn_bruteforce(n_clouds: int = 200, seed: int = 0) -> CheckResult:
 # trained pattern checks
 
 
-def _experiment(row: str, protocol: Protocol, dataset, seed: int,
-                models: Optional[list] = None, **overrides):
-    cfg = named_config(row, **{**ACCEPTANCE_MODEL, **overrides})
-    return run_experiment(cfg, protocol, dataset, ACCEPTANCE_TRAIN, seed,
-                          model_out=models)
+@functools.cache
+def _acceptance_dataset() -> SyntheticDataset:
+    return generate_dataset(ACCEPTANCE_DATA)
+
+
+def _experiment(row: str, seed: int, **overrides) -> tuple[RunReport, FusionModel]:
+    """Train one desk-profile row under z/so3 and return its report and model."""
+    return _trained(named_config(row, **{**ACCEPTANCE_MODEL, **overrides}), seed)
+
+
+@functools.cache
+def _trained(cfg: ModelConfig, seed: int) -> tuple[RunReport, FusionModel]:
+    # keyed on the resolved config, so rows that differ only in how they
+    # were spelled (fusion with its default lambda_consist) train once
+    models: list = []
+    report = run_experiment(cfg, Protocol("z", "so3", repeats=1),
+                            _acceptance_dataset(), ACCEPTANCE_TRAIN, seed,
+                            model_out=models)
+    return report, models[0]
 
 
 def check_protocol_gap(seed: int = 0) -> CheckResult:
     """The invariant model scores the same under z and arbitrary test
     rotations while the identity-frame baseline collapses."""
     started = time.time()
-    dataset = generate_dataset(ACCEPTANCE_DATA)
+    dataset = _acceptance_dataset()
     gaps_full = []
     drops_baseline = []
     details = []
     for s in ACCEPTANCE_SEEDS:
-        models: list = []
-        rep = _experiment("full", Protocol("z", "so3", repeats=1), dataset, s,
-                          models=models)
+        rep, model = _experiment("full", s)
         acc_so3 = rep.accuracy
-        acc_z = evaluate(models[0], dataset.test, dataset.test_labels, "z",
+        acc_z = evaluate(model, dataset.test, dataset.test_labels, "z",
                          seed=s * 1000)
         gaps_full.append(abs(acc_z - acc_so3))
 
-        models = []
-        rep_b = _experiment("identity-frames", Protocol("z", "so3", repeats=1),
-                            dataset, s, models=models)
+        rep_b, model_b = _experiment("identity-frames", s)
         base_so3 = rep_b.accuracy
-        base_z = evaluate(models[0], dataset.test, dataset.test_labels, "z",
+        base_z = evaluate(model_b, dataset.test, dataset.test_labels, "z",
                           seed=s * 1000)
         drops_baseline.append(base_z - base_so3)
         details.append(f"seed {s}: full z={acc_z:.2f}/so3={acc_so3:.2f}, "
@@ -347,12 +361,11 @@ def check_component_ablation(seed: int = 0) -> CheckResult:
     """The full model at least matches the fusion-only row, up to one
     standard deviation of the paired differences."""
     started = time.time()
-    dataset = generate_dataset(ACCEPTANCE_DATA)
     diffs = []
     details = []
     for s in ACCEPTANCE_SEEDS:
-        rep_full = _experiment("full", Protocol("z", "so3", repeats=1), dataset, s)
-        rep_fusion = _experiment("fusion", Protocol("z", "so3", repeats=1), dataset, s)
+        rep_full, _ = _experiment("full", s)
+        rep_fusion, _ = _experiment("fusion", s)
         diffs.append(rep_full.accuracy - rep_fusion.accuracy)
         details.append(f"seed {s}: full={rep_full.accuracy:.2f} "
                        f"fusion={rep_fusion.accuracy:.2f}")
@@ -369,17 +382,14 @@ def check_consistency_training_effect(seed: int = 0) -> CheckResult:
     """Training with the consistency loss raises the mean axis-2 frame
     consistency of the Gram-Schmidt configuration."""
     started = time.time()
-    dataset = generate_dataset(ACCEPTANCE_DATA)
-    test_points = np.stack([c.points for c in dataset.test])
+    test_points = np.stack([c.points for c in _acceptance_dataset().test])
     with_loss = []
     without_loss = []
     for s in ACCEPTANCE_SEEDS:
         for lam, bucket in ((0.1, with_loss), (0.0, without_loss)):
-            models: list = []
-            _experiment("fusion", Protocol("z", "so3", repeats=1), dataset, s,
-                        models=models, lambda_consist=lam)
+            _, model = _experiment("fusion", s, lambda_consist=lam)
             with ad.no_grad():
-                out = models[0].forward(test_points)
+                out = model.forward(test_points)
             bucket.append(out.diagnostics["consistency_axis2"])
     mean_with = float(np.mean(with_loss))
     mean_without = float(np.mean(without_loss))

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .geometry import KnnGraph, PointCloud
 from .vecneuron import gather_neighbors, vn_linear
 
 EPS_PARALLEL = 1e-6
@@ -181,19 +180,16 @@ def lcrf_frame(pair: ProjectedPair,
     return frame, inter
 
 
-def handcrafted_frame(cloud: PointCloud, knn: KnnGraph,
-                      index: int | None = None,
+def handcrafted_frame(points: np.ndarray, knn: np.ndarray,
                       fallback: Frame | None = None) -> Frame:
-    """Non-learnable frame: radial axis from the global centroid, second axis
-    toward the local barycenter, orthogonalized.  `index` selects one point;
-    None builds frames for every point."""
-    points = cloud.points
-    centroid = points.mean(axis=0)
-    rows = np.arange(cloud.n) if index is None else np.array([index])
-    radial = points[rows] - centroid
+    """Non-learnable frames for a (B, N, 3) batch over its (B, N, K) graph:
+    radial axis from each cloud's centroid, second axis toward the local
+    barycenter, orthogonalized."""
+    centroid = points.mean(axis=1, keepdims=True)
+    radial = points - centroid
     r_norm = np.linalg.norm(radial, axis=-1, keepdims=True)
-    bary = points[knn.indices[rows]].mean(axis=1)
-    toward = bary - points[rows]
+    bary = gather_neighbors(Tensor(points), knn).data.mean(axis=2)
+    toward = bary - points
     bad_radial = (r_norm[..., 0] < 1e-9)
     a = radial / np.maximum(r_norm, 1e-300)
     resid = toward - (toward * a).sum(axis=-1, keepdims=True) * a
@@ -210,8 +206,6 @@ def handcrafted_frame(cloud: PointCloud, knn: KnnGraph,
     matrix = np.stack([a, b, c], axis=-1)
     if bad.any():
         matrix = np.where(bad[..., None, None], fallback.matrix.data, matrix)
-    if index is not None:
-        matrix = matrix[0]
     return Frame(Tensor(matrix), kind="handcrafted")
 
 
@@ -229,28 +223,17 @@ def orthogonality_loss(pair: ProjectedPair, squared: bool = False) -> Tensor:
     return ad.mean(d)
 
 
-def _pair_as_batch(pair: ProjectedPair) -> ProjectedPair:
-    if pair.v1.ndim == 2:
-        n = pair.v1.shape[0]
-        return ProjectedPair(ad.reshape(pair.v1, (1, n, 3)),
-                             ad.reshape(pair.v2, (1, n, 3)))
-    return pair
-
-
-def consistency_loss(pair: ProjectedPair, knn: KnnGraph | np.ndarray) -> Tensor:
-    """Mean over graph edges (r, j) of (v_r1.v_j1 - v_r2.v_j2)^2.
+def consistency_loss(pair: ProjectedPair, knn: np.ndarray) -> Tensor:
+    """Mean over graph edges (r, j) of (v_r1.v_j1 - v_r2.v_j2)^2, for a
+    (B, N, 3) pair over its (B, N, K) graph.
 
     Driving this to zero lets the two projected directions learn from each
     other across each local neighborhood.
     """
-    idx = knn.indices if isinstance(knn, KnnGraph) else np.asarray(knn)
-    batched = _pair_as_batch(pair)
-    if idx.ndim == 2:
-        idx = idx[None]
-    n1 = gather_neighbors(batched.v1, idx)  # (B, N, K, 3)
-    n2 = gather_neighbors(batched.v2, idx)
-    d1 = ad.tsum(ad.reshape(batched.v1, batched.v1.shape[:2] + (1, 3)) * n1, axis=-1)
-    d2 = ad.tsum(ad.reshape(batched.v2, batched.v2.shape[:2] + (1, 3)) * n2, axis=-1)
+    n1 = gather_neighbors(pair.v1, knn)  # (B, N, K, 3)
+    n2 = gather_neighbors(pair.v2, knn)
+    d1 = ad.tsum(ad.reshape(pair.v1, pair.v1.shape[:2] + (1, 3)) * n1, axis=-1)
+    d2 = ad.tsum(ad.reshape(pair.v2, pair.v2.shape[:2] + (1, 3)) * n2, axis=-1)
     gap = d1 - d2
     return ad.mean(gap * gap)
 

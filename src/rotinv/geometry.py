@@ -130,32 +130,15 @@ def center_and_scale(cloud: PointCloud) -> PointCloud:
     return cloud.with_points(centered / scale)
 
 
-@dataclass
-class KnnGraph:
-    """K nearest neighbors per point; `metric` records the query space."""
-
-    indices: np.ndarray
-    k: int
-    metric: str = "coordinate"
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        if self.indices.ndim != 2 or self.indices.shape[1] != self.k:
-            raise ValueError(f"indices must be (N, {self.k})")
-
-    @property
-    def n(self) -> int:
-        return self.indices.shape[0]
-
-
 def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     """Exact squared Euclidean distance matrix, (N, N)."""
     diff = x[:, None, :] - x[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def knn_graph(query: np.ndarray, k: int, metric: str = "coordinate") -> KnnGraph:
-    """Exact K nearest neighbors under Euclidean distance, excluding self.
+def knn_graph(query: np.ndarray, k: int) -> np.ndarray:
+    """Exact K nearest neighbors under Euclidean distance, excluding self:
+    the (N, K) int64 index array of one cloud.
 
     Ties are broken toward the lower index (stable sort on distances).
     """
@@ -165,12 +148,10 @@ def knn_graph(query: np.ndarray, k: int, metric: str = "coordinate") -> KnnGraph
     n = query.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if metric not in ("coordinate", "feature"):
-        raise ValueError(f"unknown metric {metric!r}")
     d2 = pairwise_sq_dists(query)
     np.fill_diagonal(d2, np.inf)
     order = np.argsort(d2, axis=1, kind="stable")
-    return KnnGraph(order[:, :k], k=k, metric=metric)
+    return order[:, :k]
 
 
 def add_gaussian_noise(cloud: PointCloud, sigma: float, seed) -> PointCloud:

@@ -280,24 +280,17 @@ def run_perturbation_sweep(model: FusionModel, dataset: SyntheticDataset,
         if scaled >= n_points:
             raise ValueError(f"drop count {drop} leaves no points")
         dropped = [drop_points(c, scaled, np.random.default_rng([seed, i]))
-                   if scaled else c for i, c in enumerate(dataset.test)]
-        # cloud sizes differ after dropping, so evaluate one at a time
-        rot_rng = np.random.default_rng(np.random.SeedSequence([seed, scaled]))
-        accs = []
-        with ad.no_grad():
-            for cloud, label in zip(dropped, dataset.test_labels):
-                pts = cloud.points @ _rotation(rotation_kind, rot_rng).T
-                out = model.forward(pts[None])
-                accs.append(out.predicted_classes()[0] == label)
+                   for i, c in enumerate(dataset.test)]
+        acc = evaluate(model, dropped, dataset.test_labels, rotation_kind, seed)
         rows.append({"kind": "dropout", "sigma": 0.0, "n_drop": scaled,
-                     "accuracy": float(np.mean(accs))})
+                     "accuracy": acc})
     return rows
 
 
 def export_frame_field(model: FusionModel, cloud: PointCloud, out_prefix) -> tuple[str, str]:
     """Write the model's frames for one cloud as CSV and PLY files."""
     with ad.no_grad():
-        out = model.forward(cloud)
+        out = model.forward(cloud.points[None])
     csv_path = f"{out_prefix}.csv"
     ply_path = f"{out_prefix}.ply"
     export_frames_csv(csv_path, cloud.points, out.frames)

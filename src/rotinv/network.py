@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from . import frames as fr
 from .autodiff import Parameter, Tensor
-from .geometry import KnnGraph, PointCloud, knn_graph, sample_rotation_so3
+from .geometry import knn_graph, sample_rotation_so3
 from .vecneuron import (EquivariantEncoder, edge_linear, gather_neighbors,
                         seeded_normal, vn_invariant_head)
 
@@ -376,9 +376,7 @@ class FusionModel:
     # -- graph building ------------------------------------------------------
 
     def _coordinate_graph(self, points: np.ndarray) -> np.ndarray:
-        b = points.shape[0]
-        return np.stack([knn_graph(points[i], self.config.k).indices
-                         for i in range(b)])
+        return np.stack([knn_graph(cloud, self.config.k) for cloud in points])
 
     def _feature_graph(self, features: np.ndarray) -> np.ndarray:
         # Gram-expansion form of the squared distances; much cheaper than the
@@ -403,14 +401,7 @@ class FusionModel:
             return fr.identity_frames((b, n)), 0.0
         fallback = fr.identity_frames((b, n))
         if kind == "handcrafted":
-            mats = []
-            for i in range(b):
-                cloud = PointCloud(points.data[i])
-                graph = KnnGraph(knn[i], k=knn.shape[-1])
-                one = fr.handcrafted_frame(cloud, graph,
-                                           fallback=fr.identity_frames((n,)))
-                mats.append(one.matrix.data)
-            return fr.Frame(Tensor(np.stack(mats)), kind="handcrafted"), 0.0
+            return fr.handcrafted_frame(points.data, knn, fallback=fallback), 0.0
         bad_fraction = float((np.abs(pair.dot()) >= 1.0 - fr.EPS_PARALLEL).mean())
         if kind == "gram-schmidt":
             return fr.gram_schmidt_frame(pair, fallback=fallback), bad_fraction
@@ -442,15 +433,14 @@ class FusionModel:
         b, n = x.shape[0], x.shape[1]
         return xj - ad.reshape(x, (b, n, 1, x.shape[-1]))
 
-    def forward(self, points, measure_invariance: bool = False,
-                _invariance_probe: bool = False) -> ForwardOutput:
-        """Run both branches; `measure_invariance` re-runs the model on one
-        rotated copy of the batch and records the relative logits defect."""
-        if isinstance(points, PointCloud):
-            points = points.points[None]
+    def forward(self, points: np.ndarray,
+                measure_invariance: bool = False) -> ForwardOutput:
+        """Run both branches on a (B, N, 3) batch; `measure_invariance`
+        re-runs the model on one rotated copy of the batch and records the
+        relative logits defect."""
+        if np.ndim(points) != 3 or np.shape(points)[-1] != 3:
+            raise ValueError(f"points must be (B, N, 3), got {np.shape(points)}")
         points = np.asarray(points, dtype=np.float64)
-        if points.ndim == 2:
-            points = points[None]
         b, n, _ = points.shape
         cfg = self.config
         if cfg.k >= n:
@@ -515,14 +505,14 @@ class FusionModel:
         }
         out = ForwardOutput(logits_inv, logits_eqv, logits_fused, pair, frame,
                             knn_coord, diagnostics)
-        if measure_invariance and not _invariance_probe:
+        if measure_invariance:
             diagnostics["invariance_defect"] = self._invariance_defect(points, out)
         return out
 
     def _invariance_defect(self, points: np.ndarray, reference: ForwardOutput) -> float:
         rot = sample_rotation_so3(np.random.default_rng(0))
         with ad.no_grad():
-            rotated = self.forward(points @ rot.matrix.T, _invariance_probe=True)
+            rotated = self.forward(points @ rot.matrix.T)
         return relative_defect(rotated.prediction_logits.data,
                                reference.prediction_logits.data)
 
@@ -537,9 +527,6 @@ def relative_defect(logits: np.ndarray, reference: np.ndarray) -> float:
 
 def mean_knn_consistency(frame: fr.Frame, knn: np.ndarray, axis: int) -> float:
     """Mean cosine between a frame axis and the same axis at each neighbor."""
-    u = frame.data[..., :, axis - 1]
-    if u.ndim == 2:
-        u = u[None]
-        knn = knn[None] if knn.ndim == 2 else knn
+    u = frame.data[..., :, axis - 1]                      # (B, N, 3)
     neighbors = gather_neighbors(Tensor(u), knn).data
     return float((u[:, :, None, :] * neighbors).sum(-1).mean())

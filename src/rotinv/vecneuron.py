@@ -13,7 +13,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .geometry import KnnGraph
 
 
 def seeded_normal(name: str, shape, seed: int, std: float | None = None) -> np.ndarray:
@@ -170,14 +169,12 @@ class EquivariantEncoder:
     def parameters(self) -> list[Parameter]:
         return [p for layer in self.layers for p in layer.parameters()]
 
-    def __call__(self, points: Tensor, knn: np.ndarray | KnnGraph) -> Tensor:
-        idx = knn.indices if isinstance(knn, KnnGraph) else knn
-        if idx.ndim == 2:
-            idx = idx[None]
+    def __call__(self, points: Tensor, knn: np.ndarray) -> Tensor:
+        """(B, N, 3) points over their (B, N, K) graph to (B, N, 3, C)."""
         b, n = points.shape[0], points.shape[1]
         v = ad.reshape(points, (b, n, 3, 1))
         for layer in self.layers:
-            v = layer(v, idx)
+            v = layer(v, knn)
         return v
 
 

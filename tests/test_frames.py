@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from rotinv import autodiff as ad
 from rotinv import frames as fr
-from rotinv.geometry import (KnnGraph, PointCloud, knn_graph,
-                             sample_rotation_so3)
+from rotinv.geometry import knn_graph, sample_rotation_so3
 from rotinv.gradcheck import check_tensor_gradient
 
 SQ2 = np.sqrt(2.0)
@@ -144,43 +143,61 @@ class TestBisectorFrame:
 
 
 class TestHandcraftedFrame:
-    def make_cloud(self, seed=0, n=20):
+    def make_batch(self, seed=0, n=20, b=1):
         rng = np.random.default_rng(seed)
-        pts = rng.standard_normal((n, 3))
-        pts -= pts.mean(axis=0)
-        return PointCloud(pts)
+        pts = rng.standard_normal((b, n, 3))
+        pts -= pts.mean(axis=1, keepdims=True)
+        return pts
+
+    @staticmethod
+    def graph(pts, k):
+        return np.stack([knn_graph(p, k) for p in pts])
 
     def test_radial_first_axis(self):
-        cloud = self.make_cloud()
-        graph = knn_graph(cloud.points, 4)
-        frame = fr.handcrafted_frame(cloud, graph, index=3)
-        expected = unit(cloud.points[3] - cloud.points.mean(axis=0))
-        np.testing.assert_allclose(frame.column(1), expected, atol=1e-12)
+        pts = self.make_batch()
+        frame = fr.handcrafted_frame(pts, self.graph(pts, 4))
+        expected = unit(pts[0, 3] - pts[0].mean(axis=0))
+        np.testing.assert_allclose(frame.column(1)[0, 3], expected, atol=1e-12)
 
     def test_symmetric_neighborhood_degenerate(self):
         # point 0 surrounded symmetrically: barycenter lands on it
-        pts = np.array([[0.0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0],
-                        [0, -1, 0], [5, 5, 5]])
-        cloud = PointCloud(pts)
-        graph = KnnGraph(np.array([[1, 2, 3, 4]] * 6), k=4)
+        pts = np.array([[[0.0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0],
+                         [0, -1, 0], [5, 5, 5]]])
+        knn = np.array([[[1, 2, 3, 4]] * 6])
         with pytest.raises(fr.DegenerateFrameError):
-            fr.handcrafted_frame(cloud, graph, index=0)
+            fr.handcrafted_frame(pts, knn)
+
+    def test_fallback_replaces_only_degenerate_points(self):
+        pts = np.array([[[0.0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0],
+                         [0, -1, 0], [5, 5, 5]]])
+        knn = np.array([[[1, 2, 3, 4]] * 6])
+        frame = fr.handcrafted_frame(pts, knn,
+                                     fallback=fr.identity_frames((1, 6)))
+        np.testing.assert_array_equal(frame.data[0, 0], np.eye(3))
+        gram = np.einsum("nij,nik->njk", frame.data[0], frame.data[0])
+        assert np.abs(gram - np.eye(3)).max() <= 1e-9
+
+    def test_batch_matches_each_cloud_alone(self):
+        pts = self.make_batch(4, n=32, b=5)
+        knn = self.graph(pts, 6)
+        frame = fr.handcrafted_frame(pts, knn)
+        for i in range(pts.shape[0]):
+            one = fr.handcrafted_frame(pts[i:i + 1], knn[i:i + 1])
+            np.testing.assert_array_equal(frame.data[i], one.data[0])
 
     def test_equivariance(self):
-        cloud = self.make_cloud(1)
-        graph = knn_graph(cloud.points, 5)
+        pts = self.make_batch(1)
         rot = sample_rotation_so3(2).matrix
-        frame = fr.handcrafted_frame(cloud, graph)
-        rotated_cloud = PointCloud(cloud.points @ rot.T)
-        frame_rot = fr.handcrafted_frame(rotated_cloud,
-                                         knn_graph(rotated_cloud.points, 5))
-        expected = np.einsum("ij,njk->nik", rot, frame.data)
+        frame = fr.handcrafted_frame(pts, self.graph(pts, 5))
+        rotated = pts @ rot.T
+        frame_rot = fr.handcrafted_frame(rotated, self.graph(rotated, 5))
+        expected = np.einsum("ij,bnjk->bnik", rot, frame.data)
         assert np.abs(frame_rot.data - expected).max() <= 1e-9
 
     def test_orthonormal(self):
-        cloud = self.make_cloud(3)
-        frame = fr.handcrafted_frame(cloud, knn_graph(cloud.points, 4))
-        gram = np.einsum("nij,nik->njk", frame.data, frame.data)
+        pts = self.make_batch(3, b=2)
+        frame = fr.handcrafted_frame(pts, self.graph(pts, 4))
+        gram = np.einsum("bnij,bnik->bnjk", frame.data, frame.data)
         assert np.abs(gram - np.eye(3)).max() <= 1e-9
 
 
@@ -240,35 +257,36 @@ class TestLosses:
         assert err <= 1e-4
 
     def test_consistency_loss_zero_when_shared(self):
-        v1 = np.tile(unit([1.0, 0, 0]), (6, 1))
-        v2 = np.tile(unit([0, 1.0, 0]), (6, 1))
+        v1 = np.tile(unit([1.0, 0, 0]), (1, 6, 1))
+        v2 = np.tile(unit([0, 1.0, 0]), (1, 6, 1))
         pair = fr.ProjectedPair.from_arrays(v1, v2)
-        graph = knn_graph(np.random.default_rng(0).standard_normal((6, 3)), 2)
+        graph = knn_graph(np.random.default_rng(0).standard_normal((6, 3)), 2)[None]
         assert fr.consistency_loss(pair, graph).item() == pytest.approx(0.0)
 
     def test_consistency_loss_extreme_pair(self):
         # d1 = +1 and d2 = -1 on every edge: each contribution is (1+1)^2
-        v1 = np.array([[1.0, 0, 0], [1.0, 0, 0]])
-        v2 = np.array([[0, 1.0, 0], [0, -1.0, 0]])
+        v1 = np.array([[[1.0, 0, 0], [1.0, 0, 0]]])
+        v2 = np.array([[[0, 1.0, 0], [0, -1.0, 0]]])
         pair = fr.ProjectedPair.from_arrays(v1, v2)
-        graph = KnnGraph(np.array([[1], [0]]), k=1)
+        graph = np.array([[[1], [0]]])
         assert fr.consistency_loss(pair, graph).item() == pytest.approx(4.0)
 
     def test_consistency_gradient(self, rng):
         raw = rng.standard_normal((2, 10, 3))
-        graph = knn_graph(rng.standard_normal((10, 3)), 3)
+        graph = knn_graph(rng.standard_normal((10, 3)), 3)[None]
         err = check_tensor_gradient(
             lambda t: fr.consistency_loss(
-                fr.ProjectedPair(ad.normalize(t[0], axis=-1),
-                                 ad.normalize(t[1], axis=-1)), graph), raw)
+                fr.ProjectedPair(ad.normalize(t[0:1], axis=-1),
+                                 ad.normalize(t[1:2], axis=-1)), graph), raw)
         assert err <= 1e-4
 
     def test_losses_invariant_to_global_rotation(self):
-        pair = random_valid_pair(5)
+        flat = random_valid_pair(5)
+        pair = fr.ProjectedPair(flat.v1[None], flat.v2[None])
         rot = sample_rotation_so3(6).matrix
         rotated = pair.rotated(rot)
         graph = knn_graph(np.random.default_rng(0).standard_normal(
-            (pair.v1.shape[0], 3)), 3)
+            (flat.v1.shape[0], 3)), 3)[None]
         assert abs(fr.orthogonality_loss(pair).item()
                    - fr.orthogonality_loss(rotated).item()) <= 1e-12
         assert abs(fr.consistency_loss(pair, graph).item()

@@ -196,19 +196,19 @@ class TestKnnGraph:
         # points at x = 0,1,2,3; ties break toward the lower index
         pts = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]])
         graph = knn_graph(pts, 1)
-        assert graph.indices.ravel().tolist() == [1, 0, 1, 2]
+        assert graph.ravel().tolist() == [1, 0, 1, 2]
 
     def test_k_equals_n_minus_one(self):
         pts = np.random.default_rng(0).standard_normal((7, 3))
         graph = knn_graph(pts, 6)
-        for i, row in enumerate(graph.indices):
+        for i, row in enumerate(graph):
             assert sorted(row) == sorted(set(range(7)) - {i})
 
     def test_rotation_leaves_graph_unchanged(self):
         pts = np.random.default_rng(1).standard_normal((30, 3))
         r = sample_rotation_so3(2).matrix
-        a = knn_graph(pts, 5).indices
-        b = knn_graph(pts @ r.T, 5).indices
+        a = knn_graph(pts, 5)
+        b = knn_graph(pts @ r.T, 5)
         assert np.array_equal(a, b)
 
     def test_k_out_of_range(self):
@@ -218,10 +218,6 @@ class TestKnnGraph:
         with pytest.raises(ValueError):
             knn_graph(pts, 0)
 
-    def test_unknown_metric(self):
-        with pytest.raises(ValueError):
-            knn_graph(np.zeros((4, 3)), 1, metric="chebyshev")
-
     @given(st.integers(0, 500))
     @settings(max_examples=20, deadline=None)
     def test_matches_bruteforce_random(self, seed):
@@ -229,21 +225,23 @@ class TestKnnGraph:
         n = int(rng.integers(5, 40))
         k = int(rng.integers(1, n))
         pts = rng.standard_normal((n, 3))
-        assert np.array_equal(knn_graph(pts, k).indices, brute_force_knn(pts, k))
+        assert np.array_equal(knn_graph(pts, k), brute_force_knn(pts, k))
 
     def test_matches_bruteforce_with_ties(self):
         # integer lattice: exact repeated distances exercise the tie-break
         rng = np.random.default_rng(3)
         pts = rng.integers(0, 3, size=(40, 3)).astype(float)
         for k in (1, 3, 7):
-            assert np.array_equal(knn_graph(pts, k).indices,
+            assert np.array_equal(knn_graph(pts, k),
                                   brute_force_knn(pts, k))
 
-    def test_feature_space_metric_tag(self):
+    def test_feature_space_query(self):
+        # any query width works; the result is a plain (N, K) int64 array
         pts = np.random.default_rng(0).standard_normal((10, 8))
-        graph = knn_graph(pts, 2, metric="feature")
-        assert graph.metric == "feature"
-        assert graph.indices.shape == (10, 2)
+        graph = knn_graph(pts, 2)
+        assert graph.shape == (10, 2)
+        assert graph.dtype == np.int64
+        assert np.array_equal(graph, brute_force_knn(pts, 2))
 
 
 class TestPerturbations:

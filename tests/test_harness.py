@@ -159,6 +159,33 @@ class TestEvaluation:
         assert "stable=False" in result.detail
 
 
+class TestAcceptanceTrainings:
+    @pytest.fixture
+    def stub_runs(self, monkeypatch):
+        runs = []
+
+        def fake_run(cfg, protocol, dataset, train_cfg, seed, model_out):
+            runs.append((cfg, seed))
+            model_out.append(object())
+            return SimpleNamespace(accuracy=0.5)
+
+        monkeypatch.setattr(checks, "run_experiment", fake_run)
+        checks._trained.cache_clear()
+        yield runs
+        checks._trained.cache_clear()
+
+    def test_equal_configs_train_once(self, stub_runs):
+        # fusion's default lambda_consist is 0.1, so these two are one run
+        plain = checks._experiment("fusion", 0)
+        spelled = checks._experiment("fusion", 0, lambda_consist=0.1)
+        assert spelled is plain
+        checks._experiment("fusion", 0, lambda_consist=0.0)
+        checks._experiment("fusion", 1)
+        assert [seed for _, seed in stub_runs] == [0, 0, 1]
+        assert stub_runs[0][0].lambda_consist == 0.1
+        assert stub_runs[1][0].lambda_consist == 0.0
+
+
 class NanOnRotationModel:
     """Stub model: class-0 logits on its first forward, NaN afterwards."""
 
@@ -184,6 +211,10 @@ class TestPerturbationSweep:
         noise_rows = [r for r in rows if r["kind"] == "noise"]
         assert noise_rows[0]["sigma"] == 0.0
         assert noise_rows[0]["accuracy"] == pytest.approx(clean)
+        # the dropout rows draw the same rotation stream as the clean run
+        drop_rows = [r for r in rows if r["kind"] == "dropout"]
+        assert drop_rows[0]["n_drop"] == 0
+        assert drop_rows[0]["accuracy"] == pytest.approx(clean)
 
     def test_drop_counts_rescaled(self, quick_dataset):
         model = FusionModel(named_config("fusion", **TINY_MODEL))

@@ -51,7 +51,7 @@ class TestModelConfig:
 class TestPoseCodes:
     def make_inputs(self, rng, c=3):
         pts = centered_cloud_batch(rng, b=1, n=12)
-        knn = knn_graph(pts[0], 4).indices[None]
+        knn = knn_graph(pts[0], 4)[None]
         veq = rng.standard_normal((1, 12, 3, c))
         pair = fr.ProjectedPair.from_arrays(
             *[v / np.linalg.norm(v, axis=-1, keepdims=True)
@@ -241,13 +241,15 @@ class TestForward:
         b = gs.forward(pts).logits_inv.data
         assert np.abs(a - b).max() > 1e-9
 
-    def test_single_cloud_and_pointcloud_inputs(self, tiny_config, tiny_dataset):
+    def test_rejects_unbatched_input(self, tiny_config, tiny_dataset):
+        # one format: a single cloud is a batch of one, (1, N, 3)
         model = FusionModel(tiny_config)
         cloud = tiny_dataset.test[0]
-        out_obj = model.forward(cloud)
-        out_arr = model.forward(cloud.points)
-        assert np.array_equal(out_obj.prediction_logits.data,
-                              out_arr.prediction_logits.data)
+        for bad in (cloud, cloud.points, cloud.points[None, :, :2]):
+            with pytest.raises(ValueError, match=r"\(B, N, 3\)"):
+                model.forward(bad)
+        assert model.forward(cloud.points[None]).prediction_logits.shape == (
+            1, tiny_config.n_classes)
 
     def test_k_too_large_rejected(self, rng, tiny_config):
         model = FusionModel(tiny_config)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotinv import autodiff as ad
-from rotinv.geometry import KnnGraph, knn_graph, sample_rotation_so3
+from rotinv.geometry import knn_graph, sample_rotation_so3
 from rotinv.gradcheck import check_tensor_gradient
 from rotinv.vecneuron import (EquivariantEncoder, VnEdgeConv, edge_linear,
                               gather_neighbors, vn_invariant_head, vn_linear,
@@ -165,7 +165,7 @@ def edge_inputs(rng, vector: bool, b=2, n=7, k=3, c=4, c_out=5):
     """Per-point x, gathered x_j and a (2C, Cout) weight; (B,N,[3,]C)."""
     shape = (b, n, 3, c) if vector else (b, n, c)
     x = rng.standard_normal(shape)
-    idx = np.stack([knn_graph(p.reshape(n, -1), k).indices for p in x])
+    idx = np.stack([knn_graph(p.reshape(n, -1), k) for p in x])
     xj = gather_neighbors(ad.Tensor(x), idx).data
     return x, xj, rng.standard_normal((2 * c, c_out))
 
@@ -202,7 +202,7 @@ class TestEdgeFeatures:
         # with the center rows W_a zeroed only x_j - x_i reaches the output,
         # so shifting every point by one offset leaves it unchanged
         pts = rng.standard_normal((1, 10, 3))
-        idx = knn_graph(pts[0], 3).indices[None]
+        idx = knn_graph(pts[0], 3)[None]
         w = rng.standard_normal((2, 4))
         w_diff = w.copy()
         w_diff[:1] = 0.0
@@ -229,7 +229,7 @@ class TestEncoder:
         worst = 0.0
         for trial in range(20):
             pts = rng.standard_normal((1, 16, 3))
-            idx = knn_graph(pts[0], 5).indices[None]
+            idx = knn_graph(pts[0], 5)[None]
             rot = sample_rotation_so3(trial).matrix
             with ad.no_grad():
                 v = encoder(ad.Tensor(pts), idx).data
@@ -239,16 +239,17 @@ class TestEncoder:
             worst = max(worst, defect)
         assert worst <= 1e-9
 
-    def test_accepts_knn_graph_object(self, rng):
-        pts = rng.standard_normal((12, 3))
-        encoder = EquivariantEncoder((4,), seed=0)
-        out = encoder(ad.Tensor(pts[None]), knn_graph(pts, 4))
-        assert out.shape == (1, 12, 3, 4)
+    def test_output_shape(self, rng):
+        pts = rng.standard_normal((2, 12, 3))
+        encoder = EquivariantEncoder((4, 5), seed=0)
+        knn = np.stack([knn_graph(p, 4) for p in pts])
+        out = encoder(ad.Tensor(pts), knn)
+        assert out.shape == (2, 12, 3, 5)
 
     def test_gradients_flow(self, rng):
         encoder = EquivariantEncoder((3, 4), seed=2)
         pts = rng.standard_normal((1, 8, 3))
-        idx = knn_graph(pts[0], 3).indices[None]
+        idx = knn_graph(pts[0], 3)[None]
         loss = ad.tsum(encoder(ad.Tensor(pts), idx))
         store = ad.backward(loss, encoder.parameters())
         assert all(np.isfinite(g).all() for g in store.values())
@@ -291,7 +292,7 @@ class TestInvariantHead:
 def test_edgeconv_gradcheck(rng):
     conv = VnEdgeConv("g", 1, 3, seed=3)
     pts = rng.standard_normal((1, 6, 3))
-    idx = knn_graph(pts[0], 2).indices[None]
+    idx = knn_graph(pts[0], 2)[None]
     weights = ad.Tensor(rng.standard_normal((1, 6, 3, 3)))
 
     def loss_of_weight(t):
