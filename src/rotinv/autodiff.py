@@ -7,6 +7,7 @@ gradients.  Everything is float64 and single-threaded per graph.
 """
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
@@ -557,17 +558,32 @@ def save_checkpoint(path, params: Iterable[Parameter]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a `.lckp` file; a file cut short at any field, or with bytes
+    left after the last parameter, raises ValueError naming the path."""
     with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        (count,) = struct.unpack("<I", fh.read(4))
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            n = int(np.prod(shape)) if shape else 1
-            values = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape)
-            out[name] = values.astype(np.float64)
+        blob = fh.read()
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+    pos = 4
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if len(blob) - pos < n:
+            raise ValueError(f"{path}: truncated checkpoint: {what} needs "
+                             f"{n} bytes at offset {pos}, {len(blob) - pos} left")
+        pos += n
+        return blob[pos - n:pos]
+
+    (count,) = struct.unpack("<I", take(4, "parameter count"))
+    out: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        name = take(name_len, "parameter name").decode("utf-8")
+        (ndim,) = struct.unpack("<I", take(4, f"ndim of {name!r}"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name!r}"))
+        values = take(8 * math.prod(shape), f"values of {name!r}")
+        out[name] = np.frombuffer(values, dtype="<f8").reshape(shape).astype(np.float64)
+    if pos != len(blob):
+        raise ValueError(f"{path}: {len(blob) - pos} trailing bytes after "
+                         f"the last parameter")
     return out

@@ -20,8 +20,8 @@ from .dataset import DatasetSpec, SyntheticDataset, generate_dataset
 from .geometry import knn_graph, sample_rotation_so3
 from .gradcheck import check_tensor_gradient, directional_derivative_error
 from .harness import Protocol, RunReport, TrainConfig, evaluate, run_experiment
-from .network import (FusionModel, ModelConfig, named_config, relative_defect,
-                      total_loss)
+from .network import (PROTOCOL_ROWS, FusionModel, ModelConfig, named_config,
+                      relative_defect, total_loss)
 from .vecneuron import EquivariantEncoder, gather_neighbors, vn_nonlinearity
 
 
@@ -333,14 +333,15 @@ def check_protocol_gap(seed: int = 0) -> CheckResult:
     gaps_full = []
     drops_baseline = []
     details = []
+    invariant_row, baseline_row = PROTOCOL_ROWS
     for s in ACCEPTANCE_SEEDS:
-        rep, model = _experiment("full", s)
+        rep, model = _experiment(invariant_row, s)
         acc_so3 = rep.accuracy
         acc_z = evaluate(model, dataset.test, dataset.test_labels, "z",
                          seed=s * 1000)
         gaps_full.append(abs(acc_z - acc_so3))
 
-        rep_b, model_b = _experiment("identity-frames", s)
+        rep_b, model_b = _experiment(baseline_row, s)
         base_so3 = rep_b.accuracy
         base_z = evaluate(model_b, dataset.test, dataset.test_labels, "z",
                           seed=s * 1000)

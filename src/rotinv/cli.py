@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, ablate, perturb, export-frames, check.
-Shared flags: --config (key = value text file), --seed, --out, --protocol.
-The check command exits nonzero if any property fails.
+Shared flags: --config (key = value text file), --profile, --seed, --out,
+--protocol.  The check command exits nonzero if any property fails.
 """
 from __future__ import annotations
 
@@ -22,9 +22,23 @@ from .harness import (DivergenceError, Protocol, TrainConfig, evaluate,
                       export_frame_field, run_ablation_grid, run_experiment,
                       run_perturbation_sweep)
 from .network import (COMPONENT_ABLATION_ROWS, FRAME_ABLATION_ROWS,
-                      NAMED_CONFIGS, POSE_ABLATION_ROWS, FusionModel,
+                      POSE_ABLATION_ROWS, PROTOCOL_ROWS, FusionModel,
                       ModelConfig, named_config)
 from .pointio import read_cloud, write_cloud_binary, write_cloud_text
+
+# Base layers under the config file: model overrides applied to the row,
+# dataset, training settings and evaluation repeats.  `desk` is the reduced
+# profile of the property suite's trained checks.
+PROFILES = {
+    "default": ({}, DatasetSpec(), TrainConfig(), 3),
+    "desk": (checks_module.ACCEPTANCE_MODEL, checks_module.ACCEPTANCE_DATA,
+             checks_module.ACCEPTANCE_TRAIN, 1),
+}
+
+ABLATION_AXES = {"components": COMPONENT_ABLATION_ROWS,
+                 "frames": FRAME_ABLATION_ROWS,
+                 "pose": POSE_ABLATION_ROWS,
+                 "protocol": PROTOCOL_ROWS}
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -70,22 +84,23 @@ def apply_overrides(instance, overrides: dict[str, str], used: set[str]):
 
 
 def load_configs(args) -> tuple[ModelConfig, DatasetSpec, TrainConfig, dict]:
+    """The profile's configs with the config file's keys on top; `--seed`
+    then sets both the model and the dataset seed (ablate's `--seed` lists
+    training seeds only and is read by the command)."""
     raw = parse_config_file(args.config) if args.config else {}
-    used: set[str] = set()
+    model_base, data_spec, train_cfg, repeats = PROFILES[args.profile]
+    used = {"row", "repeats"}
     row = raw.get("row", "full")
-    used.add("row")
-    model_cfg = named_config(row) if row in NAMED_CONFIGS else ModelConfig()
-    model_cfg = apply_overrides(model_cfg, raw, used)
-    data_spec = apply_overrides(DatasetSpec(), raw, used)
-    train_cfg = apply_overrides(TrainConfig(), raw, used)
-    extras = {k: v for k, v in raw.items() if k not in used
-              and k not in ("repeats",)}
+    model_cfg = apply_overrides(named_config(row, **model_base), raw, used)
+    data_spec = apply_overrides(data_spec, raw, used)
+    train_cfg = apply_overrides(train_cfg, raw, used)
+    extras = sorted(set(raw) - used)
     if extras:
-        raise ValueError(f"unknown config keys: {sorted(extras)}")
-    if args.seed is not None:
+        raise ValueError(f"unknown config keys: {extras}")
+    if getattr(args, "seed", None) is not None:
         model_cfg = dataclasses.replace(model_cfg, seed=args.seed)
         data_spec = dataclasses.replace(data_spec, seed=args.seed)
-    repeats = int(raw.get("repeats", 3))
+    repeats = int(raw.get("repeats", repeats))
     return model_cfg, data_spec, train_cfg, {"row": row, "repeats": repeats}
 
 
@@ -172,25 +187,30 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     model_cfg, data_spec, train_cfg, extra = load_configs(args)
     out = _out_dir(args)
-    rows = {"components": COMPONENT_ABLATION_ROWS,
-            "frames": FRAME_ABLATION_ROWS,
-            "pose": POSE_ABLATION_ROWS}[args.axis]
     protocol = Protocol.from_name(args.protocol, repeats=extra["repeats"])
     dataset = generate_dataset(data_spec)
     overrides = {f.name: getattr(model_cfg, f.name)
                  for f in dataclasses.fields(ModelConfig)
                  if f.name not in ("frame_kind", "rpr_source", "fusion", "seed")}
-    reports = run_ablation_grid(list(rows), protocol, dataset, train_cfg,
-                                seed=model_cfg.seed, **overrides)
-    summary = [{"row": r.model_config["row"], "accuracy": r.accuracy,
+    reports = []
+    for seed in args.seeds or [model_cfg.seed]:
+        for r in run_ablation_grid(list(ABLATION_AXES[args.axis]), protocol,
+                                   dataset, train_cfg, seed=seed, **overrides):
+            print(f"seed={seed} {r.model_config['row']:24s} "
+                  f"accuracy={r.accuracy:.4f}")
+            reports.append(r)
+    summary = [{"row": r.model_config["row"], "seed": r.seed,
+                "accuracy": r.accuracy,
                 "consistency_axis2": r.final_diagnostics.get("consistency_axis2"),
                 "wall_clock_s": round(r.wall_clock_s, 1)} for r in reports]
     _write_csv(out / f"ablation_{args.axis}.csv", summary)
     with open(out / f"ablation_{args.axis}.jsonl", "w") as fh:
         for r in reports:
             fh.write(r.to_json() + "\n")
-    for row in summary:
-        print(f"{row['row']:24s} accuracy={row['accuracy']:.4f}")
+    print("\nmean over seeds:")
+    for row in ABLATION_AXES[args.axis]:
+        accs = [r["accuracy"] for r in summary if r["row"] == row]
+        print(f"{row:24s} {np.mean(accs):.4f} +- {np.std(accs):.4f}")
     return 0
 
 
@@ -253,9 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rotation-invariant point-cloud learning experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, protocol=True):
+    def common(p, protocol=True, profile=True, seeds=False):
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--seed", type=int, default=None)
+        if profile:
+            p.add_argument("--profile", choices=sorted(PROFILES),
+                           default="default",
+                           help="base configs under --config (default: default)")
+        if seeds:
+            p.add_argument("--seed", dest="seeds", type=int, nargs="+",
+                           help="training seeds, all over one dataset whose "
+                                "seed comes from the profile or --config")
+        else:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output directory (default: runs/)")
         if protocol:
             p.add_argument("--protocol", choices=("zz", "zso3", "so3so3"),
@@ -276,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ablate", help="run one ablation axis")
-    common(p)
-    p.add_argument("--axis", choices=("components", "frames", "pose"),
+    common(p, seeds=True)
+    p.add_argument("--axis", choices=sorted(ABLATION_AXES),
                    default="components")
     p.set_defaults(fn=cmd_ablate)
 
@@ -293,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_export_frames)
 
     p = sub.add_parser("check", help="run the property suite (nonzero exit on failure)")
-    common(p, protocol=False)
+    common(p, protocol=False, profile=False)
     p.add_argument("--only", nargs="*", help="run only the named checks")
     p.set_defaults(fn=cmd_check)
 

@@ -70,10 +70,15 @@ def project_pair(v: Tensor, weight: Tensor) -> ProjectedPair:
 
 @dataclass
 class Frame:
-    """A (..., 3, 3) tensor whose columns u1, u2, u3 form a right-handed basis."""
+    """A (..., 3, 3) tensor whose columns u1, u2, u3 form a right-handed basis.
+
+    `degenerate` is the (...) mask of points whose construction input was
+    degenerate and that hold the fallback frame instead.
+    """
 
     matrix: Tensor
     kind: str
+    degenerate: np.ndarray | None = None
 
     def column(self, i: int) -> np.ndarray:
         if i not in (1, 2, 3):
@@ -87,7 +92,8 @@ class Frame:
 
 def identity_frames(shape_prefix: tuple[int, ...] = ()) -> Frame:
     eye = np.broadcast_to(np.eye(3), tuple(shape_prefix) + (3, 3)).copy()
-    return Frame(Tensor(eye), kind="identity")
+    return Frame(Tensor(eye), kind="identity",
+                 degenerate=np.zeros(shape_prefix, dtype=bool))
 
 
 def _check_guard_band(pair: ProjectedPair, fallback: Frame | None, context: str):
@@ -135,7 +141,7 @@ def gram_schmidt_frame(pair: ProjectedPair, fallback: Frame | None = None) -> Fr
     matrix = ad.stack([u1, u2, u3], axis=-1)
     if fallback is not None:
         matrix = _splice_fallback(matrix, bad, fallback)
-    return Frame(matrix, kind="gram-schmidt")
+    return Frame(matrix, kind="gram-schmidt", degenerate=bad)
 
 
 @dataclass
@@ -174,7 +180,7 @@ def lcrf_frame(pair: ProjectedPair,
     matrix = ad.stack([u1, u2, u3], axis=-1)
     if fallback is not None:
         matrix = _splice_fallback(matrix, bad, fallback)
-    frame = Frame(matrix, kind="lcrf")
+    frame = Frame(matrix, kind="lcrf", degenerate=bad)
     inter = BisectorIntermediates(ad.reshape(sin_t, sin_t.shape[:-1]),
                                   ad.reshape(cos_t, cos_t.shape[:-1]), vbar)
     return frame, inter
@@ -206,7 +212,7 @@ def handcrafted_frame(points: np.ndarray, knn: np.ndarray,
     matrix = np.stack([a, b, c], axis=-1)
     if bad.any():
         matrix = np.where(bad[..., None, None], fallback.matrix.data, matrix)
-    return Frame(Tensor(matrix), kind="handcrafted")
+    return Frame(Tensor(matrix), kind="handcrafted", degenerate=bad)
 
 
 def consistency(frame_a: Frame, frame_b: Frame, axis: int) -> np.ndarray:

@@ -103,6 +103,9 @@ COMPONENT_ABLATION_ROWS = ("baseline", "fusion", "fusion-lcrf",
 FRAME_ABLATION_ROWS = ("frames-handcrafted", "frames-gram-schmidt", "frames-lcrf")
 POSE_ABLATION_ROWS = ("pose-coordinate", "pose-handcrafted-ppf",
                       "pose-equivariant", "pose-invariant")
+# the invariant model against the rotation-sensitive reference, run once
+# per train/test rotation protocol
+PROTOCOL_ROWS = ("full", "identity-frames")
 
 
 def named_config(name: str, **overrides) -> ModelConfig:
@@ -394,19 +397,18 @@ class FusionModel:
     # -- branches ------------------------------------------------------------
 
     def _build_frames(self, points: Tensor, knn: np.ndarray,
-                      pair: Optional[fr.ProjectedPair]) -> tuple[fr.Frame, float]:
+                      pair: Optional[fr.ProjectedPair]) -> fr.Frame:
         b, n = points.shape[0], points.shape[1]
         kind = self.config.frame_kind
-        if kind == "identity":
-            return fr.identity_frames((b, n)), 0.0
         fallback = fr.identity_frames((b, n))
+        if kind == "identity":
+            return fallback
         if kind == "handcrafted":
-            return fr.handcrafted_frame(points.data, knn, fallback=fallback), 0.0
-        bad_fraction = float((np.abs(pair.dot()) >= 1.0 - fr.EPS_PARALLEL).mean())
+            return fr.handcrafted_frame(points.data, knn, fallback=fallback)
         if kind == "gram-schmidt":
-            return fr.gram_schmidt_frame(pair, fallback=fallback), bad_fraction
+            return fr.gram_schmidt_frame(pair, fallback=fallback)
         frame, _ = fr.lcrf_frame(pair, fallback=fallback)
-        return frame, bad_fraction
+        return frame
 
     @staticmethod
     def _edge_conv(x: Tensor, xj: Tensor, phi: Mlp) -> Tensor:
@@ -455,7 +457,7 @@ class FusionModel:
         if cfg.uses_equivariant_branch:
             veq = self.encoder(pts, knn_coord)              # (B,N,3,C)
             pair = fr.project_pair(veq, self.pair_proj)
-        frame, bad_fraction = self._build_frames(pts, knn_coord, pair)
+        frame = self._build_frames(pts, knn_coord, pair)
 
         # first invariant convolution on frame-projected geometry: point i
         # and its neighbors, all seen in frame i, U_i^T p_i and U_i^T p_j
@@ -497,7 +499,7 @@ class FusionModel:
             logits_fused = self.cls_fused(ad.relu(fused))
 
         diagnostics = {
-            "degenerate_fraction": bad_fraction,
+            "degenerate_fraction": float(frame.degenerate.mean()),
             "orthogonality_residual": (float(np.abs(pair.dot()).mean())
                                        if pair is not None else None),
             "consistency_axis1": mean_knn_consistency(frame, knn_coord, 1),

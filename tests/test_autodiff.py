@@ -265,6 +265,27 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             ad.load_checkpoint(path)
 
+    @staticmethod
+    def _saved_bytes(tmp_path) -> bytes:
+        params = [ad.Parameter("layer.weight", np.arange(6.0).reshape(2, 3)),
+                  ad.Parameter("scalar", np.array(2.5))]
+        ad.save_checkpoint(tmp_path / "whole.lckp", params)
+        return (tmp_path / "whole.lckp").read_bytes()
+
+    def test_truncation_at_every_offset_is_a_named_error(self, tmp_path):
+        blob = self._saved_bytes(tmp_path)
+        path = tmp_path / "cut.lckp"
+        for size in range(len(blob)):
+            path.write_bytes(blob[:size])
+            with pytest.raises(ValueError, match="cut.lckp"):
+                ad.load_checkpoint(path)
+
+    def test_trailing_byte_is_a_named_error(self, tmp_path):
+        path = tmp_path / "long.lckp"
+        path.write_bytes(self._saved_bytes(tmp_path) + b"\x00")
+        with pytest.raises(ValueError, match="long.lckp: 1 trailing byte"):
+            ad.load_checkpoint(path)
+
 
 class TestDeterminism:
     def test_training_step_replays_bit_identical(self):

@@ -1,10 +1,15 @@
 import csv
+import dataclasses
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rotinv.cli import main, parse_config_file
+from rotinv import checks, cli
+from rotinv.cli import build_parser, load_configs, main, parse_config_file
+from rotinv.network import named_config
 
 TINY_CONFIG = """
 # reduced profile for fast command tests
@@ -52,6 +57,46 @@ def test_unknown_config_key_rejected(tmp_path):
     path.write_text("frobnicate = 7\n")
     with pytest.raises(ValueError):
         main(["train", "--config", str(path), "--out", str(tmp_path)])
+
+
+def test_unknown_row_rejected(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("row = fulll\n")
+    args = build_parser().parse_args(["train", "--config", str(path)])
+    with pytest.raises(ValueError, match="unknown configuration 'fulll'"):
+        load_configs(args)
+
+
+def test_desk_profile_is_the_acceptance_profile(tmp_path):
+    model_cfg, data_spec, train_cfg, extra = load_configs(
+        build_parser().parse_args(["train", "--profile", "desk"]))
+    assert model_cfg == named_config("full", **checks.ACCEPTANCE_MODEL)
+    assert data_spec == checks.ACCEPTANCE_DATA
+    assert train_cfg == checks.ACCEPTANCE_TRAIN
+    assert extra["repeats"] == 1
+
+    path = tmp_path / "c.txt"
+    path.write_text("row = fusion\nepochs = 3\nn_points = 40\nk = 6\n"
+                    "repeats = 2\n")
+    model_cfg, data_spec, train_cfg, extra = load_configs(
+        build_parser().parse_args(["ablate", "--profile", "desk",
+                                   "--config", str(path)]))
+    assert model_cfg == named_config("fusion", **{**checks.ACCEPTANCE_MODEL,
+                                                  "k": 6})
+    assert data_spec == dataclasses.replace(checks.ACCEPTANCE_DATA, n_points=40)
+    assert train_cfg == dataclasses.replace(checks.ACCEPTANCE_TRAIN, epochs=3)
+    assert extra["repeats"] == 2
+
+
+def test_readme_commands_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
+    commands = [line.split("#", 1)[0] for block in blocks
+                for line in block.splitlines() if line.startswith("rotinv ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])
 
 
 def test_gen_data_writes_clouds(tmp_path, config_file):
@@ -132,6 +177,30 @@ def test_ablate_component_axis(tmp_path, config_file):
     rows = list(csv.DictReader(open(out / "ablation_frames.csv")))
     assert [r["row"] for r in rows] == ["frames-handcrafted",
                                         "frames-gram-schmidt", "frames-lcrf"]
+
+
+def test_ablate_seeds_share_one_dataset(tmp_path, config_file, monkeypatch):
+    # the config's seed sets the dataset; --seed lists the training seeds
+    with open(config_file, "a") as fh:
+        fh.write("seed = 5\n")
+    specs = []
+    cli_generate = cli.generate_dataset
+
+    def generate(spec):
+        specs.append(spec)
+        return cli_generate(spec)
+
+    monkeypatch.setattr(cli, "generate_dataset", generate)
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--config", config_file, "--seed", "0", "1",
+                 "--axis", "protocol", "--out", str(out)]) == 0
+    assert [s.seed for s in specs] == [5]
+    rows = list(csv.DictReader(open(out / "ablation_protocol.csv")))
+    assert [(r["row"], r["seed"]) for r in rows] == [
+        ("full", "0"), ("identity-frames", "0"),
+        ("full", "1"), ("identity-frames", "1")]
+    reports = [json.loads(line) for line in open(out / "ablation_protocol.jsonl")]
+    assert [r["seed"] for r in reports] == [0, 0, 1, 1]
 
 
 def test_check_subset_passes(tmp_path):

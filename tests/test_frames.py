@@ -131,6 +131,8 @@ class TestBisectorFrame:
         np.testing.assert_array_equal(frame.data[0], np.eye(3))
         dots = (frame.data[1][:, 0] * frame.data[1][:, 1]).sum()
         assert abs(dots) <= 1e-9
+        gs = fr.gram_schmidt_frame(pair, fallback=fallback)
+        assert frame.degenerate.tolist() == gs.degenerate.tolist() == [True, False]
 
     def test_fallback_blocks_gradient_to_bad_rows(self):
         v1 = ad.Tensor(np.array([[1.0, 0, 0], [0, 1.0, 0]]), requires_grad=True)
@@ -174,6 +176,9 @@ class TestHandcraftedFrame:
         frame = fr.handcrafted_frame(pts, knn,
                                      fallback=fr.identity_frames((1, 6)))
         np.testing.assert_array_equal(frame.data[0, 0], np.eye(3))
+        # point 5's barycenter direction is radial, so it falls back too
+        assert frame.degenerate.tolist() == [[True, False, False, False,
+                                              False, True]]
         gram = np.einsum("nij,nik->njk", frame.data[0], frame.data[0])
         assert np.abs(gram - np.eye(3)).max() <= 1e-9
 

@@ -265,6 +265,17 @@ class TestForward:
             assert key in out.diagnostics
         assert out.diagnostics["invariance_defect"] <= 1e-6
 
+    def test_handcrafted_frames_report_fallback_points(self, rng):
+        # the seventh point sits at the centroid, so its radial axis is zero
+        # and it takes the identity fallback
+        pts = rng.standard_normal((6, 3))
+        cloud = np.vstack([pts, pts.mean(axis=0)])[None]
+        model = FusionModel(named_config("frames-handcrafted", **TINY_MODEL))
+        out = model.forward(cloud)
+        np.testing.assert_array_equal(out.frames.data[0, 6], np.eye(3))
+        assert out.frames.degenerate.tolist() == [[False] * 6 + [True]]
+        assert out.diagnostics["degenerate_fraction"] == 1 / 7
+
     def test_baseline_row_skips_equivariant_branch(self, rng):
         model = FusionModel(named_config("identity-frames", **TINY_MODEL))
         out = model.forward(centered_cloud_batch(rng))
