@@ -3,7 +3,9 @@
 A small tape-free engine in the micrograd style: every op returns a new
 Tensor that remembers its parents and one vector-Jacobian callback per
 parent.  ``backward`` topologically sorts the graph and accumulates
-gradients.  Everything is float64 and single-threaded per graph.
+gradients into the leaves; an interior node's gradient is released as soon
+as its own callbacks have run, so only leaves keep ``.grad`` afterwards.
+Everything is float64 and single-threaded per graph.
 """
 from __future__ import annotations
 
@@ -61,7 +63,8 @@ def set_strict_finite_checks(enabled: bool) -> bool:
 class Tensor:
     """A float64 ndarray plus the graph edges needed for backward."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps", "_op",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -466,10 +469,14 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor, params: Iterable[Parameter] | None = None) -> dict[str, np.ndarray]:
-    """Accumulate dloss/dx into .grad for every tensor reachable from `loss`.
+    """Accumulate dloss/dx into .grad of every leaf reachable from `loss`.
 
-    With `params` given, returns the gradient store {name: gradient}; any
-    parameter the loss does not depend on gets a zero gradient.
+    Leaves (parameters and user tensors with requires_grad) keep their
+    gradient.  An interior node's gradient is dropped once its VJPs have run;
+    reverse topological order guarantees every consumer has contributed by
+    then, so it is never needed again.  With `params` given, returns the
+    gradient store {name: gradient}; any parameter the loss does not depend
+    on gets a zero gradient.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -485,6 +492,8 @@ def backward(loss: Tensor, params: Iterable[Parameter] | None = None) -> dict[st
                 parent.grad = contribution
             else:
                 parent.grad = parent.grad + contribution
+        if node._parents:
+            node.grad = None
     store: dict[str, np.ndarray] = {}
     if params is not None:
         for p in params:
@@ -558,8 +567,9 @@ def save_checkpoint(path, params: Iterable[Parameter]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a `.lckp` file; a file cut short at any field, or with bytes
-    left after the last parameter, raises ValueError naming the path."""
+    """Read a `.lckp` file; a file cut short at any field, a parameter name
+    that is not valid UTF-8, or bytes left after the last parameter raise
+    ValueError naming the path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -578,7 +588,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "parameter name").decode("utf-8")
+        raw_name = take(name_len, "parameter name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: parameter name is not valid UTF-8 "
+                             f"at offset {pos - name_len + err.start}") from None
         (ndim,) = struct.unpack("<I", take(4, f"ndim of {name!r}"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name!r}"))
         values = take(8 * math.prod(shape), f"values of {name!r}")

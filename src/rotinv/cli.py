@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, ablate, perturb, export-frames, check.
-Shared flags: --config (key = value text file), --profile, --seed, --out,
---protocol.  The check command exits nonzero if any property fails.
+Shared flags of every command but check: --config (key = value text
+file), --profile, --seed, --out, --protocol.  check takes only --only and
+--out, and exits nonzero if any property fails.
 """
 from __future__ import annotations
 
@@ -273,12 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rotation-invariant point-cloud learning experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, protocol=True, profile=True, seeds=False):
+    def common(p, protocol=True, seeds=False):
         p.add_argument("--config", help="key = value configuration file")
-        if profile:
-            p.add_argument("--profile", choices=sorted(PROFILES),
-                           default="default",
-                           help="base configs under --config (default: default)")
+        p.add_argument("--profile", choices=sorted(PROFILES), default="default",
+                       help="base configs under --config (default: default)")
         if seeds:
             p.add_argument("--seed", dest="seeds", type=int, nargs="+",
                            help="training seeds, all over one dataset whose "
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_export_frames)
 
     p = sub.add_parser("check", help="run the property suite (nonzero exit on failure)")
-    common(p, protocol=False, profile=False)
+    p.add_argument("--out", help="output directory (default: runs/)")
     p.add_argument("--only", nargs="*", help="run only the named checks")
     p.set_defaults(fn=cmd_check)
 

@@ -105,14 +105,18 @@ class RunReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _clip_gradients(params, max_norm: float) -> None:
+def _clip_gradients(params, max_norm: float) -> tuple[float, bool]:
+    """Scale the gradients down to a global norm of `max_norm`; returns the
+    norm before clipping and whether clipping fired."""
     total = np.sqrt(sum(float((p.grad * p.grad).sum())
                         for p in params if p.grad is not None))
-    if total > max_norm:
+    clipped = bool(total > max_norm)
+    if clipped:
         scale = max_norm / total
         for p in params:
             if p.grad is not None:
                 p.grad = p.grad * scale
+    return float(total), clipped
 
 
 def _rotation(kind: str, rng: np.random.Generator) -> np.ndarray:
@@ -132,12 +136,43 @@ def _rotate_batch(points: np.ndarray, kind: str, rng: np.random.Generator) -> np
     return out
 
 
+def _train_step(model: FusionModel, optimizer: ad.SGD, points: np.ndarray,
+                labels: np.ndarray, clip_norm: float,
+                measure_invariance: bool) -> tuple[dict, dict, Optional[float], bool]:
+    """One SGD step: forward, loss, backward, clip, update.
+
+    Returns only plain numbers -- the loss parts, the forward's diagnostics,
+    the pre-clip gradient norm (None when clipping is off) and whether
+    clipping fired -- so the step's graph is unreachable once this returns,
+    before the next batch's forward builds its own.
+    """
+    cfg = model.config
+    out = model.forward(points, measure_invariance=measure_invariance)
+    loss, parts = total_loss(out.logits_inv, out.logits_eqv, out.logits_fused,
+                             labels, cfg.lambda_orth, cfg.lambda_consist,
+                             pair=out.pair, knn=out.knn_coord,
+                             orth_squared=cfg.orth_squared)
+    if not np.isfinite(loss.data):
+        raise ad.NumericError("total_loss", "training loss went non-finite")
+    optimizer.zero_grad()
+    ad.backward(loss, model.parameters())
+    grad_norm, clipped = None, False
+    if clip_norm:
+        grad_norm, clipped = _clip_gradients(model.parameters(), clip_norm)
+    optimizer.step()
+    return parts, out.diagnostics, grad_norm, clipped
+
+
 def train_model(model: FusionModel, dataset: SyntheticDataset,
                 protocol: Protocol, train_cfg: TrainConfig, seed: int,
                 jsonl_sink: Optional[Callable[[dict], None]] = None) -> list[dict]:
     """SGD with cosine annealing over the train split; returns epoch records.
 
-    Raises DivergenceError via the caller when the loss goes non-finite.
+    With `jsonl_sink`, each step also passes one record to it: losses, lr,
+    wall time, pre-clip gradient norm, whether clipping fired, and the
+    forward's frame diagnostics (the invariance probe on each epoch's first
+    step).  Raises DivergenceError via the caller when the loss goes
+    non-finite.
     """
     root = np.random.SeedSequence([seed, 0x7261696e])
     shuffle_rng, rot_rng = (np.random.default_rng(s) for s in root.spawn(2))
@@ -146,7 +181,6 @@ def train_model(model: FusionModel, dataset: SyntheticDataset,
     optimizer = ad.SGD(model.parameters(), lr=train_cfg.lr,
                        momentum=train_cfg.momentum,
                        weight_decay=train_cfg.weight_decay)
-    cfg = model.config
     records = []
     step = 0
     for epoch in range(train_cfg.epochs):
@@ -155,31 +189,27 @@ def train_model(model: FusionModel, dataset: SyntheticDataset,
         epoch_losses = []
         epoch_diag = {}
         for start in range(0, len(order), train_cfg.batch_size):
+            started = time.perf_counter()
             batch = order[start:start + train_cfg.batch_size]
             batch_pts = _rotate_batch(points[batch], protocol.train_rotation, rot_rng)
             measure = jsonl_sink is not None and start == 0
-            out = model.forward(batch_pts, measure_invariance=measure)
-            loss, parts = total_loss(out.logits_inv, out.logits_eqv,
-                                     out.logits_fused, labels[batch],
-                                     cfg.lambda_orth, cfg.lambda_consist,
-                                     pair=out.pair, knn=out.knn_coord,
-                                     orth_squared=cfg.orth_squared)
-            if not np.isfinite(loss.data):
-                raise ad.NumericError("total_loss", "training loss went non-finite")
-            optimizer.zero_grad()
-            ad.backward(loss, model.parameters())
-            if train_cfg.clip_norm:
-                _clip_gradients(model.parameters(), train_cfg.clip_norm)
-            optimizer.step()
+            parts, diag, grad_norm, clipped = _train_step(
+                model, optimizer, batch_pts, labels[batch],
+                train_cfg.clip_norm, measure)
+            step_s = time.perf_counter() - started
             epoch_losses.append(parts["total"])
             if start == 0:
-                epoch_diag = dict(out.diagnostics)
+                epoch_diag = diag
             if jsonl_sink is not None:
                 record = {"step": step, "epoch": epoch, "lr": optimizer.lr,
                           "losses": parts,
-                          "consistency_axis1": out.diagnostics["consistency_axis1"],
-                          "consistency_axis2": out.diagnostics["consistency_axis2"],
-                          "invariance_defect": out.diagnostics.get("invariance_defect")}
+                          "consistency_axis1": diag["consistency_axis1"],
+                          "consistency_axis2": diag["consistency_axis2"],
+                          "invariance_defect": diag.get("invariance_defect"),
+                          "degenerate_fraction": diag["degenerate_fraction"],
+                          "orthogonality_residual": diag["orthogonality_residual"],
+                          "grad_norm": grad_norm, "clipped": clipped,
+                          "step_s": step_s}
                 jsonl_sink(record)
             step += 1
         records.append({"epoch": epoch, "lr": optimizer.lr,

@@ -91,6 +91,39 @@ class TestBackward:
         assert store["a"] == pytest.approx(4.0)
         assert store["b"] == pytest.approx(2.0)
 
+    def test_interior_gradients_released_leaves_kept(self):
+        p = ad.Parameter("p", np.array([1.0, -2.0]))
+        x = ad.Tensor(np.array([0.5, 3.0]), requires_grad=True)
+        const = ad.Tensor(np.array([2.0, 2.0]))
+        prod = p * x
+        shifted = prod + const
+        loss = ad.tsum(shifted * shifted)
+        ad.backward(loss, [p])
+        for interior in (prod, shifted, loss):
+            assert interior.grad is None
+        assert const.grad is None  # a constant is never differentiated
+        dl = 2.0 * (p.data * x.data + const.data)
+        np.testing.assert_array_equal(p.grad, dl * x.data)
+        np.testing.assert_array_equal(x.grad, dl * p.data)
+
+    def test_diamond_gradient(self):
+        # y = x*x feeds both branches: L = sum(3y + y*y), dL/dx = (3 + 2y) 2x
+        x = ad.Tensor(np.array([0.5, -1.5, 2.0]), requires_grad=True)
+        y = x * x
+        ad.backward(ad.tsum(y * 3.0 + y * y))
+        expected = (3.0 + 2.0 * x.data**2) * 2.0 * x.data
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-15)
+        assert y.grad is None
+
+    def test_second_backward_adds_one_gradient(self):
+        # no stale interior gradient may leak into a second pass
+        x = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        loss = ad.tsum(ad.exp(x * 2.0))
+        ad.backward(loss)
+        once = x.grad.copy()
+        ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, 2.0 * once)
+
     def test_no_grad_blocks_recording(self):
         p = ad.Parameter("p", np.ones(2))
         with ad.no_grad():
@@ -284,6 +317,15 @@ class TestCheckpoint:
         path = tmp_path / "long.lckp"
         path.write_bytes(self._saved_bytes(tmp_path) + b"\x00")
         with pytest.raises(ValueError, match="long.lckp: 1 trailing byte"):
+            ad.load_checkpoint(path)
+
+    def test_invalid_utf8_name_is_a_named_error(self, tmp_path):
+        path = tmp_path / "name.lckp"
+        ad.save_checkpoint(path, [ad.Parameter("w", np.ones(2))])
+        blob = bytearray(path.read_bytes())
+        blob[12] = 0xFF  # first byte of the name, after magic, count, length
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="name.lckp: .*UTF-8 at offset 12"):
             ad.load_checkpoint(path)
 
 

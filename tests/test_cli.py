@@ -213,6 +213,15 @@ def test_check_subset_passes(tmp_path):
     assert all(r["passed"] == "True" for r in rows)
 
 
+@pytest.mark.parametrize("flag,value", [("--config", "x"), ("--seed", "1"),
+                                        ("--profile", "desk")])
+def test_check_rejects_config_flags(flag, value):
+    # the property suite is fixed; a flag it would ignore is an error
+    with pytest.raises(SystemExit) as err:
+        main(["check", flag, value])
+    assert err.value.code == 2
+
+
 def test_check_reports_failure_exit_code(tmp_path, monkeypatch):
     from rotinv import checks
 

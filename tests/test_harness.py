@@ -1,4 +1,6 @@
 import json
+import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,6 +76,49 @@ class TestTraining:
             assert key in first
         assert first["invariance_defect"] is not None  # probed on first batch
         assert json.dumps(records[0])  # serializable
+
+    def test_step_graph_released_before_next_forward(self, quick_dataset):
+        model = FusionModel(named_config("full", **TINY_MODEL))
+        forward = model.forward
+        last = []       # weakref to the latest forward's prediction logits
+        alive = []      # was it still alive when the next forward or sink ran?
+
+        def tracked_forward(*args, **kwargs):
+            alive.extend(ref() is not None for ref in last[-1:])
+            out = forward(*args, **kwargs)
+            last.append(weakref.ref(out.prediction_logits))
+            return out
+
+        def sink(record):
+            alive.append(last[-1]() is not None)
+
+        model.forward = tracked_forward
+        train_model(model, quick_dataset, Protocol("z", "so3"), QUICK_TRAIN,
+                    seed=0, jsonl_sink=sink)
+        # 8 sink calls, and 8 forwards (2 of them epoch probes) after the
+        # first step's forward and its probe
+        assert len(alive) == 8 + 8
+        assert not any(alive)
+
+    @pytest.mark.parametrize("clip_norm", [0.0, 0.05, 5.0])
+    def test_step_records_clip_and_frame_fields(self, quick_dataset, clip_norm):
+        model = FusionModel(named_config("full", **TINY_MODEL))
+        records = []
+        train_model(model, quick_dataset, Protocol("z", "so3"),
+                    replace(QUICK_TRAIN, clip_norm=clip_norm), seed=0,
+                    jsonl_sink=records.append)
+        for r in records:
+            assert 0.0 <= r["degenerate_fraction"] <= 1.0
+            assert r["orthogonality_residual"] >= 0.0
+            assert r["step_s"] > 0.0
+            if clip_norm:
+                assert r["grad_norm"] > 0.0
+                assert r["clipped"] is (r["grad_norm"] > clip_norm)
+            else:
+                assert r["grad_norm"] is None and r["clipped"] is False
+        assert json.dumps(records)
+        if clip_norm == 0.05:
+            assert all(r["clipped"] for r in records)
 
 
 class TestRunExperiment:
