@@ -291,21 +291,76 @@ def stack(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 
 def getitem(a: Tensor, key) -> Tensor:
+    """Basic indexing (ints, slices, None, ...), or rows along axis 0 when
+    `key` is an integer array, list or Tensor (see `gather`)."""
     if isinstance(key, Tensor):
         key = key.data.astype(np.int64)
+    if isinstance(key, (np.ndarray, list)):
+        return gather(a, key)
+    parts = key if isinstance(key, tuple) else (key,)
+    if not all(isinstance(k, (int, np.integer, slice)) or k is None or k is Ellipsis
+               for k in parts):
+        raise TypeError(f"getitem takes basic keys or one integer row array, "
+                        f"got {key!r}")
     data = np.asarray(a.data[key], dtype=np.float64)
 
     def vjp(g):
+        # basic indexing selects each element at most once: nothing to sum
         out = np.zeros(a.shape)
-        np.add.at(out, key, g)
+        out[key] = g
         return out
 
     return _from_op(data, "getitem", (a,), (vjp,))
 
 
+def row_indices(indices) -> np.ndarray:
+    """`indices` as an int64 array of row numbers; negative ones are
+    rejected, because `scatter_rows` cannot take them."""
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise TypeError(f"row indices must be integers, got {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
+    if idx.size and idx.min() < 0:
+        raise ValueError(f"row indices must be non-negative, got {idx.min()}")
+    return idx
+
+
+# Entries per column block in scatter_rows: bounds its index and weight
+# temporaries at 8 MiB each, whatever the size of the gradient.
+SCATTER_BLOCK = 1 << 20
+
+
+def scatter_rows(g: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
+    """The transpose of a row gather: out[idx[e]] += g[e] for every e.
+
+    `idx` holds non-negative row numbers and `g` is idx.shape + row shape.
+    One `np.bincount` over flat row x column indices per block of columns
+    adds each column's terms in the order of `idx`, exactly as `np.add.at`
+    does, so the result is bit-identical to it and about twice as fast.
+    """
+    row_shape = g.shape[idx.ndim:]
+    width = math.prod(row_shape)
+    out = np.zeros((n_rows, width))
+    if idx.size == 0 or width == 0:
+        return out.reshape((n_rows,) + row_shape)
+    flat_g = g.reshape(idx.size, width)
+    step = max(1, SCATTER_BLOCK // idx.size)
+    for lo in range(0, width, step):
+        w = min(step, width - lo)
+        flat = idx.reshape(-1, 1) * w + np.arange(w)
+        out[:, lo:lo + w] = np.bincount(
+            flat.ravel(), weights=flat_g[:, lo:lo + w].ravel(),
+            minlength=n_rows * w).reshape(n_rows, w)
+    return out.reshape((n_rows,) + row_shape)
+
+
 def gather(a: Tensor, indices) -> Tensor:
-    """Select rows of `a` along axis 0; `indices` may have any shape."""
-    return getitem(a, np.asarray(indices, dtype=np.int64))
+    """Select rows of `a` along axis 0; `indices` may have any shape and
+    must be non-negative.  The gradient is summed back with `scatter_rows`."""
+    idx = row_indices(indices)
+    data = a.data[idx]
+    return _from_op(data, "getitem", (a,),
+                    (lambda g: scatter_rows(g, idx, a.shape[0]),))
 
 
 def where(mask, a: Tensor, b: Tensor) -> Tensor:
@@ -568,8 +623,8 @@ def save_checkpoint(path, params: Iterable[Parameter]) -> None:
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a `.lckp` file; a file cut short at any field, a parameter name
-    that is not valid UTF-8, or bytes left after the last parameter raise
-    ValueError naming the path."""
+    that is not valid UTF-8 or that repeats an earlier one, or bytes left
+    after the last parameter raise ValueError naming the path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -594,6 +649,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         except UnicodeDecodeError as err:
             raise ValueError(f"{path}: parameter name is not valid UTF-8 "
                              f"at offset {pos - name_len + err.start}") from None
+        if name in out:
+            raise ValueError(f"{path}: duplicate parameter name {name!r}")
         (ndim,) = struct.unpack("<I", take(4, f"ndim of {name!r}"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name!r}"))
         values = take(8 * math.prod(shape), f"values of {name!r}")

@@ -22,7 +22,7 @@ from .gradcheck import check_tensor_gradient, directional_derivative_error
 from .harness import Protocol, RunReport, TrainConfig, evaluate, run_experiment
 from .network import (PROTOCOL_ROWS, FusionModel, ModelConfig, named_config,
                       relative_defect, total_loss)
-from .vecneuron import EquivariantEncoder, gather_neighbors, vn_nonlinearity
+from .vecneuron import EquivariantEncoder, gather_neighbors, vn_edge_conv
 
 
 @dataclass
@@ -216,16 +216,17 @@ def check_gradient_suite(seed: int = 0) -> CheckResult:
                        t[0, :3])
         return ad.tsum(out * ad.Tensor(weights_edge))
 
-    def vn_loss(t: ad.Tensor) -> ad.Tensor:
-        v = ad.transpose(t, (1, 2, 0))                   # (10, 3, 2)
-        return ad.tsum(vn_nonlinearity(v, ad.reshape(t[1, 0, :2], (2, 1)))
-                       * ad.Tensor(weights_vn))
+    def vn_edge_loss(t: ad.Tensor) -> ad.Tensor:
+        # points, edge weight and direction all depend on t
+        v = ad.reshape(ad.transpose(t, (1, 2, 0)), (1, 10, 3, 2))
+        out = vn_edge_conv(v, knn, t[0, :4, :2], ad.reshape(t[1, 0, :2], (2, 1)))
+        return ad.tsum(out * ad.Tensor(weights_vn.reshape(out.shape)))
 
     weights_gs = rng.standard_normal((10, 3, 3))
     weights_edge = rng.standard_normal((10, 4, 3))
     weights_vn = rng.standard_normal((10, 3, 2))
     for name, f in [("gram-schmidt-frame", gs_loss), ("bisector-frame", bisector_loss),
-                    ("addmm", addmm_loss), ("vn-nonlinearity", vn_loss)]:
+                    ("addmm", addmm_loss), ("vn-edge-conv", vn_edge_loss)]:
         err = check_tensor_gradient(f, raw)
         worst = max(worst, err)
         details.append(f"{name}={err:.2g}")

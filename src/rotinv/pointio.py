@@ -26,18 +26,33 @@ def write_cloud_text(path, cloud: PointCloud) -> None:
 
 
 def read_cloud_text(path) -> PointCloud:
+    """Read ``x y z [label]`` lines; a non-ASCII byte, a wrong column count,
+    a coordinate that is not a number or a label that is not an integer
+    raises ValueError naming the path and the line."""
     points = []
     labels = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, 1):
-            parts = line.split()
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            try:
+                parts = raw.decode("ascii").split()
+            except UnicodeDecodeError as err:
+                raise ValueError(f"{path}:{line_no}: non-ASCII byte "
+                                 f"{raw[err.start]:#04x}") from None
             if not parts:
                 continue
             if len(parts) not in (3, 4):
                 raise ValueError(f"{path}:{line_no}: expected 3 or 4 columns")
-            points.append([float(v) for v in parts[:3]])
+            try:
+                points.append([float(v) for v in parts[:3]])
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: coordinates "
+                                 f"{' '.join(parts[:3])!r} are not numbers") from None
             if len(parts) == 4:
-                labels.append(int(parts[3]))
+                try:
+                    labels.append(int(parts[3]))
+                except ValueError:
+                    raise ValueError(f"{path}:{line_no}: label {parts[3]!r} "
+                                     f"is not an integer") from None
     if labels and len(labels) != len(points):
         raise ValueError(f"{path}: label column present on only some lines")
     return PointCloud(np.array(points),
@@ -55,7 +70,10 @@ def read_cloud_binary(path) -> PointCloud:
     with open(path, "rb") as fh:
         if fh.read(4) != CLOUD_MAGIC:
             raise ValueError(f"{path}: not a binary point-cloud file (bad magic)")
-        (count,) = struct.unpack("<I", fh.read(4))
+        head = fh.read(4)
+        if len(head) != 4:
+            raise ValueError(f"{path}: truncated point count")
+        (count,) = struct.unpack("<I", head)
         raw = fh.read(12 * count)
         if len(raw) != 12 * count:
             raise ValueError(f"{path}: truncated point data")

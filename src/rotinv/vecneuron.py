@@ -34,59 +34,15 @@ def vn_linear(v: Tensor, weight: Tensor) -> Tensor:
     return ad.matmul(v, weight)
 
 
-def vn_nonlinearity(v: Tensor, direction_weight: Tensor) -> Tensor:
-    """Truncate each channel against the learned direction k = V @ w.
-
-    Channels with a non-negative component along k_hat = k / max(|k|, eps)
-    pass through; the rest have their negative component along k_hat
-    projected out: v - min(v . k_hat, 0) k_hat.  k co-rotates with the
-    input, so the map is equivariant.  This is one tape node: the per-channel
-    products and sums stay inside it.
-    """
-    w = direction_weight
-    k = v.data @ w.data                                    # (..., 3, 1)
-    norm = np.sqrt((k * k).sum(axis=-2, keepdims=True))
-    guarded = np.maximum(norm, ad.NORM_EPS)
-    khat = k / guarded
-    if not ad._all_finite(khat):
-        raise ad.NumericError("vn_nonlinearity")
-    # the einsums contract without building a full-size product first
-    dot = np.einsum("...dc,...dx->...xc", v.data, khat)   # (..., 1, C)
-    trunc = np.minimum(dot, 0.0)
-    out = np.einsum("...xc,...dx->...dc", trunc, khat)
-    np.subtract(v.data, out, out=out)
-
-    memo: list = []
-
-    def shared(g):
-        # backward hands both parents the same g; the small per-channel and
-        # per-direction terms are computed once for the two of them
-        if not memo or memo[0] is not g:
-            # d out / d dot = -k_hat where dot < 0, else 0
-            gdot = np.einsum("...dc,...dx->...xc", g, khat)
-            gdot *= dot < 0
-            gdot *= -1.0
-            gkhat = (np.einsum("...dc,...xc->...d", v.data, gdot)
-                     - np.einsum("...dc,...xc->...d", g, trunc))[..., None]
-            # normalize's backward; below the guard the norm is a constant
-            radial = (gkhat * k).sum(axis=-2, keepdims=True)
-            gk = gkhat / guarded - np.where(norm > ad.NORM_EPS,
-                                            k * radial / guarded**3, 0.0)
-            memo[:] = [g, gdot, gk]
-        return memo[1], memo[2]
-
-    def vjp_v(g):
-        gdot, gk = shared(g)
-        grad = np.einsum("...dx,...xc->...dc", khat, gdot)
-        grad += g
-        grad += gk * w.data.T
-        return grad
-
-    def vjp_w(g):
-        _, gk = shared(g)
-        return v.data.reshape(-1, v.shape[-1]).T @ gk.reshape(-1, 1)
-
-    return ad._from_op(out, "vn_nonlinearity", (v, w), (vjp_v, vjp_w))
+def _batch_rows(knn: np.ndarray, b: int, n: int) -> np.ndarray:
+    """Per-cloud neighbour indices (B, N, K) as rows of the flattened
+    (B * N) batch.  An index outside [0, N) would read another cloud's
+    point, so it raises ValueError."""
+    idx = ad.row_indices(knn)
+    if idx.size and idx.max() >= n:
+        raise ValueError(f"neighbour index {idx.max()} out of range for "
+                         f"clouds of {n} points")
+    return idx + (np.arange(b) * n)[:, None, None]
 
 
 def gather_neighbors(features: Tensor, knn: np.ndarray) -> Tensor:
@@ -97,8 +53,7 @@ def gather_neighbors(features: Tensor, knn: np.ndarray) -> Tensor:
     """
     b, n = features.shape[0], features.shape[1]
     flat = ad.reshape(features, (b * n,) + features.shape[2:])
-    offsets = (np.arange(b) * n)[:, None, None]
-    return ad.gather(flat, knn + offsets)
+    return ad.gather(flat, _batch_rows(knn, b, n))
 
 
 def edge_linear(x: Tensor, xj: Tensor, weight: Tensor,
@@ -124,6 +79,116 @@ def edge_linear(x: Tensor, xj: Tensor, weight: Tensor,
     return ad.addmm(center, xj, w_b)
 
 
+def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
+                 direction: Tensor) -> Tensor:
+    """One vector-neuron edge convolution as one tape node: edge linear,
+    truncation against a learned direction, and the mean over neighbours.
+
+    `v` is (B, N, 3, C) per point, `knn` (B, N, K) per-cloud indices,
+    `weight` (2C, Cout) and `direction` (Cout, 1); returns (B, N, 3, Cout).
+    Per edge, with W_a, W_b the first and last C rows of W,
+
+        m = concat[v_i, v_j - v_i] W = v_i (W_a - W_b) + v_j W_b,
+
+    so both products are taken per point and the second is gathered after.
+    Each channel of m is truncated against k_hat = k / max(|k|, eps),
+    k = m @ direction: m - min(m . k_hat, 0) k_hat, which is equivariant
+    because k co-rotates with the input.  The output is the mean over the
+    K neighbours, formed as mean_k(m) - sum_k min(m . k_hat, 0) k_hat / K,
+    so the truncated per-edge tensor is never built.
+
+    The node keeps only the two per-point products; backward builds the
+    per-edge terms again (bit-identical: the same gather and arithmetic),
+    forms the per-edge gradient of m once, sums it over K for the centre
+    product and scatters it to rows for the neighbour product
+    (`ad.scatter_rows`); what is left are per-point products.  The
+    difference channel cancels any constant offset added to all points.
+    """
+    b, n, _, c = v.shape
+    n_nbr = knn.shape[-1]
+    if n_nbr == 0:
+        raise ValueError("empty neighborhood: edge convolution needs k >= 1")
+    rows = _batch_rows(knn, b, n)
+    w_b = weight.data[c:]
+    w_ab = weight.data[:c] - w_b
+    w_dir = direction.data
+    cout = w_b.shape[1]
+    flat_v = v.data.reshape(-1, c)
+    neighbor = (flat_v @ w_b).reshape(b * n, 3, cout)
+    center = (flat_v @ w_ab).reshape(b, n, 1, 3, cout)
+
+    def edges():
+        """Per edge: m, k, |k|, max(|k|, eps), k_hat and min(m . k_hat, 0)."""
+        m = neighbor[rows]                                  # (B, N, K, 3, Cout)
+        m += center
+        k = (m.reshape(-1, cout) @ w_dir).reshape(b, n, n_nbr, 3, 1)
+        norm = np.sqrt((k * k).sum(axis=-2, keepdims=True))
+        guarded = np.maximum(norm, ad.NORM_EPS)
+        khat = k / guarded
+        # the einsums contract without building a full-size product first
+        trunc = np.minimum(np.einsum("...dc,...dx->...xc", m, khat), 0.0)
+        return m, k, norm, guarded, khat, trunc
+
+    m, _, _, _, khat, trunc = edges()
+    if not ad._all_finite(khat):
+        raise ad.NumericError("vn_edge_conv")
+    out = m.sum(axis=2)
+    out -= np.einsum("bnkxc,bnkdx->bndc", trunc, khat)
+    out *= 1.0 / n_nbr
+
+    memo: list = []
+
+    def shared(g):
+        # backward hands every parent the same g; the per-edge terms and the
+        # gradients of the two per-point products and of the direction are
+        # computed once for all of them
+        if not memo or memo[0] is not g:
+            m, k, norm, guarded, khat, trunc = edges()
+            g_edge = g * (1.0 / n_nbr)        # each edge's share of the mean
+            # d out / d (m . k_hat) = -k_hat where m . k_hat < 0, else 0
+            gdot = np.einsum("bndc,bnkdx->bnkxc", g_edge, khat)
+            gdot *= trunc < 0
+            gdot *= -1.0
+            gkhat = (np.einsum("...dc,...xc->...d", m, gdot)
+                     - np.einsum("bndc,bnkxc->bnkd", g_edge, trunc))[..., None]
+            # normalize's backward; below the guard the norm is a constant
+            radial = (gkhat * k).sum(axis=-2, keepdims=True)
+            gk = gkhat / guarded - np.where(norm > ad.NORM_EPS,
+                                            k * radial / guarded**3, 0.0)
+            g_dir = m.reshape(-1, cout).T @ gk.reshape(-1, 1)
+            # each per-edge array is dropped as soon as it is dead, which
+            # keeps the scatter below from holding m beside the gradient
+            del m, trunc
+            gm = np.einsum("...dx,...xc->...dc", khat, gdot)
+            del gdot
+            gm += g_edge[:, :, None]
+            # the direction's term gk w^T is rank one over the channels, so
+            # it is summed and scattered at width one and widened after
+            g_center = gm.sum(axis=2) + gk.sum(axis=2) * w_dir.T
+            g_neighbor = (ad.scatter_rows(gm, rows, b * n)
+                          + ad.scatter_rows(gk, rows, b * n) * w_dir.T)
+            memo[:] = [g, g_center.reshape(-1, cout),
+                       g_neighbor.reshape(-1, cout), g_dir]
+        return memo[1:]
+
+    def vjp_v(g):
+        g_center, g_neighbor, _ = shared(g)
+        grad = g_neighbor @ w_b.T
+        grad += g_center @ w_ab.T
+        return grad.reshape(v.shape)
+
+    def vjp_weight(g):
+        g_center, g_neighbor, _ = shared(g)
+        g_ab = flat_v.T @ g_center
+        return np.concatenate([g_ab, flat_v.T @ g_neighbor - g_ab])
+
+    def vjp_direction(g):
+        return shared(g)[2]
+
+    return ad._from_op(out, "vn_edge_conv", (v, weight, direction),
+                       (vjp_v, vjp_weight, vjp_direction))
+
+
 class VnEdgeConv:
     """Edge convolution in vector-neuron form with channelwise mean aggregation."""
 
@@ -145,11 +210,7 @@ class VnEdgeConv:
         return [self.weight, self.direction]
 
     def __call__(self, v: Tensor, knn: np.ndarray) -> Tensor:
-        if knn.shape[-1] == 0:
-            raise ValueError("empty neighborhood: edge convolution needs k >= 1")
-        mixed = edge_linear(v, gather_neighbors(v, knn), self.weight)
-        out = vn_nonlinearity(mixed, self.direction)
-        return ad.mean(out, axis=2)
+        return vn_edge_conv(v, knn, self.weight, self.direction)
 
 
 class EquivariantEncoder:

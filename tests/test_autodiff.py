@@ -1,3 +1,4 @@
+import struct
 import zlib
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from rotinv import autodiff as ad
 from rotinv.gradcheck import check_tensor_gradient, finite_difference_gradient
-from rotinv.vecneuron import vn_nonlinearity
+from rotinv.vecneuron import vn_edge_conv
 
 
 class TestForwardBasics:
@@ -20,6 +21,38 @@ class TestForwardBasics:
         t = ad.Tensor([[1.0], [2.0], [3.0]])
         out = ad.gather(t, [2, 0])
         np.testing.assert_array_equal(out.data, [[3.0], [1.0]])
+
+    def test_gather_gradient_is_add_at(self, rng):
+        # repeated rows sum in index order and unused rows get zero, exactly
+        # as np.add.at; rows 0 and 5 of 6 are never picked
+        t = ad.Tensor(rng.standard_normal((6, 3, 2)), requires_grad=True)
+        idx = np.array([[3, 1, 3], [2, 3, 4], [1, 1, 3]])
+        g = rng.standard_normal((3, 3, 3, 2)) * 10.0 ** rng.integers(-8, 8, (3, 3, 1, 1))
+        ad.backward(ad.tsum(ad.gather(t, idx) * ad.Tensor(g)))
+        expected = np.zeros(t.shape)
+        np.add.at(expected, idx, g)
+        assert np.array_equal(t.grad, expected)
+        assert not t.grad[[0, 5]].any()
+
+    def test_scatter_rows_blocks_match_add_at(self, rng, monkeypatch):
+        # column blocks of 3, 3 and 1 out of a width of 7
+        monkeypatch.setattr(ad, "SCATTER_BLOCK", 3 * 5)
+        idx = np.array([4, 0, 4, 2, 4])
+        g = rng.standard_normal((5, 7)) * 10.0 ** rng.integers(-8, 8, (5, 1))
+        expected = np.zeros((6, 7))
+        np.add.at(expected, idx, g)
+        assert np.array_equal(ad.scatter_rows(g, idx, 6), expected)
+
+    def test_gather_rejects_negative_indices(self):
+        t = ad.Tensor(np.ones((3, 2)), requires_grad=True)
+        with pytest.raises(ValueError, match="non-negative"):
+            ad.gather(t, [0, -1])
+        with pytest.raises(ValueError, match="non-negative"):
+            t[np.array([[1, -3]])]
+
+    def test_getitem_rejects_mixed_advanced_keys(self):
+        with pytest.raises(TypeError):
+            ad.Tensor(np.ones((3, 2)))[np.array([0, 1]), 1]
 
     def test_leaf_must_be_finite(self):
         with pytest.raises(ValueError):
@@ -135,6 +168,8 @@ RNG = np.random.default_rng(12345)
 CONST_45 = RNG.standard_normal((4, 5))
 CONST_43 = RNG.standard_normal((4, 3))
 CONST_453 = RNG.standard_normal((4, 5, 3))
+KNN_ONE_CLOUD = np.array([[[1, 0, 1], [0, 0, 1]]])
+KNN_TWO_CLOUDS = np.array([[[1, 1], [0, 1]], [[0, 0], [1, 0]]])
 
 PRIMITIVE_CASES = [
     ("add", lambda t: ad.tsum((t + ad.Tensor(CONST_45)) * ad.Tensor(CONST_45))),
@@ -178,9 +213,16 @@ PRIMITIVE_CASES = [
     ("addmm_4d", lambda t: ad.tsum(ad.addmm(t[0, :2], ad.reshape(t, (2, 2, 5, 1)),
                                            ad.reshape(t[1, 3:], (1, 2)))
                                    * ad.Tensor(CONST_453[:, :, :2].reshape(2, 2, 5, 2)))),
-    ("vn_nonlinearity", lambda t: ad.tsum(vn_nonlinearity(
-        ad.reshape(t[:3, :4], (1, 3, 4)) * ad.Tensor(CONST_453[:3, :4, 0]),
-        ad.reshape(t[3, :4], (4, 1))) * ad.Tensor(CONST_453[:3, :4, 1]))),
+    # one edge convolution with v, W and the direction all functions of t;
+    # the second graph repeats neighbours and lists a point as its own
+    ("vn_edge_conv", lambda t: ad.tsum(vn_edge_conv(
+        ad.reshape(t[:, :3], (1, 2, 3, 2)), KNN_ONE_CLOUD,
+        t * 0.5, ad.reshape(t[3], (5, 1)))
+        * ad.Tensor(CONST_453[:2].reshape(1, 2, 3, 5)))),
+    ("vn_edge_conv_repeated", lambda t: ad.tsum(vn_edge_conv(
+        ad.reshape(t[:, :3], (2, 2, 3, 1)), KNN_TWO_CLOUDS,
+        ad.reshape(t[2, :4], (2, 2)), ad.reshape(t[3, 3:], (2, 1)))
+        * ad.Tensor(CONST_453[:, :3, :2].reshape(2, 2, 3, 2)))),
 ]
 
 
@@ -291,6 +333,17 @@ class TestCheckpoint:
         params = [ad.Parameter("w", np.ones(2)), ad.Parameter("w", np.ones(2))]
         with pytest.raises(ValueError):
             ad.save_checkpoint(tmp_path / "dup.lckp", params)
+
+    def test_duplicate_names_rejected_on_load(self, tmp_path):
+        # built by hand: save_checkpoint refuses to write such a file
+        entry = (struct.pack("<I", 1) + b"w" + struct.pack("<II", 1, 1)
+                 + np.array([1.0]).astype("<f8").tobytes())
+        path = tmp_path / "dup.lckp"
+        path.write_bytes(b"LCKP" + struct.pack("<I", 2) + entry
+                         + entry.replace(np.array([1.0]).astype("<f8").tobytes(),
+                                         np.array([2.0]).astype("<f8").tobytes()))
+        with pytest.raises(ValueError, match="dup.lckp: duplicate parameter name 'w'"):
+            ad.load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.lckp"

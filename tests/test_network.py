@@ -346,9 +346,9 @@ def test_mean_knn_consistency_identity_frames():
 def test_edge_convolutions_build_no_per_edge_copies(rng):
     # edge_linear folds the center term and the bias into one in-place add,
     # so the training tape carries no concat, broadcast_to or add with the K
-    # neighbor axis; the VN nonlinearity is one node, so no per-edge mul or
-    # sum has a vector axis (B, N, K, 3 or 1, C).  The frame axes' stack is
-    # the only concat left.
+    # neighbor axis.  Each encoder layer is one vn_edge_conv node over its
+    # per-point output, so no per-edge tensor of any vector-neuron width is
+    # recorded.  The frame axes' stack is the only concat left.
     cfg = named_config("full", **TINY_MODEL)
     model = FusionModel(cfg)
     b, n = 2, 20
@@ -367,10 +367,10 @@ def test_edge_convolutions_build_no_per_edge_copies(rng):
     per_edge = [c for c in nodes if c[1][:3] == (b, n, cfg.k)]
     for op in ("concat", "broadcast_to", "add"):
         assert [c for c in per_edge if c[0] == op] == [], op
-    vector_edge = [c for c in per_edge if len(c[1]) == 5]
-    assert [c for c in vector_edge if c[0] in ("mul", "sum")] == []
-    assert sorted(c[1] for c in vector_edge if c[0] == "vn_nonlinearity") == [
-        (b, n, cfg.k, 3, w) for w in TINY_MODEL["vn_widths"]]
+    widths = TINY_MODEL["vn_widths"]
+    assert [c for c in per_edge if c[1] in [(b, n, cfg.k, 3, w) for w in widths]] == []
+    assert sorted(c[1] for c in nodes if c[0] == "vn_edge_conv") == sorted(
+        (b, n, 3, w) for w in widths)
     assert any(op == "concat" for op, _ in nodes), "the frame stack should stay"
 
 

@@ -43,6 +43,27 @@ def test_text_rejects_partial_labels(tmp_path):
         read_cloud_text(path)
 
 
+def test_text_rejects_non_ascii_byte(tmp_path):
+    path = tmp_path / "bad.xyz"
+    path.write_bytes(b"1 2 3\n4 5 \xe96\n")
+    with pytest.raises(ValueError, match=r"bad\.xyz:2: non-ASCII"):
+        read_cloud(path)
+
+
+def test_text_rejects_non_integer_label(tmp_path):
+    path = tmp_path / "bad.xyz"
+    path.write_text("1 2 3 0\n4 5 6 4.5\n")
+    with pytest.raises(ValueError, match=r"bad\.xyz:2: label '4\.5'"):
+        read_cloud(path)
+
+
+def test_text_rejects_non_numeric_coordinate(tmp_path):
+    path = tmp_path / "bad.xyz"
+    path.write_text("1 2 x\n")
+    with pytest.raises(ValueError, match=r"bad\.xyz:1: coordinates"):
+        read_cloud(path)
+
+
 def test_binary_roundtrip(tmp_path, cloud):
     path = tmp_path / "cloud.lcpc"
     write_cloud_binary(path, cloud)
@@ -66,6 +87,13 @@ def test_binary_truncated(tmp_path):
     path.write_bytes(CLOUD_MAGIC + (5).to_bytes(4, "little") + b"\x00" * 10)
     with pytest.raises(ValueError):
         read_cloud_binary(path)
+
+
+def test_binary_cut_inside_point_count(tmp_path):
+    path = tmp_path / "short.lcpc"
+    path.write_bytes(b"LCPC\x01\x00")
+    with pytest.raises(ValueError, match=r"short\.lcpc: truncated point count"):
+        read_cloud(path)
 
 
 def test_read_cloud_sniffs_format(tmp_path, cloud):

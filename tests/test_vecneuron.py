@@ -7,8 +7,8 @@ from rotinv import autodiff as ad
 from rotinv.geometry import knn_graph, sample_rotation_so3
 from rotinv.gradcheck import check_tensor_gradient
 from rotinv.vecneuron import (EquivariantEncoder, VnEdgeConv, edge_linear,
-                              gather_neighbors, vn_invariant_head, vn_linear,
-                              vn_nonlinearity)
+                              gather_neighbors, vn_edge_conv, vn_invariant_head,
+                              vn_linear)
 
 
 def rotate_channels(rot, v):
@@ -39,14 +39,31 @@ class TestVnLinear:
         assert np.abs(first - second).max() <= 1e-12 * max(np.abs(second).max(), 1)
 
 
+def composed_vn_nonlinearity(v, w):
+    """Reference VN nonlinearity, op by op: v + relu(-v . k_hat) k_hat."""
+    khat = ad.normalize(ad.matmul(v, w), axis=-2)
+    dot = ad.tsum(v * khat, axis=-2, keepdims=True)
+    return v + ad.relu(-dot) * khat
+
+
+def composed_edge_conv(v, knn, weight, direction):
+    """Reference form of vn_edge_conv: edge linear, nonlinearity and mean as
+    separate ops over full per-edge tensors."""
+    mixed = edge_linear(v, gather_neighbors(v, knn), weight)
+    return ad.mean(composed_vn_nonlinearity(mixed, direction), axis=2)
+
+
 class TestVnNonlinearity:
+    """The truncation rule, on the reference form the fused op is held to,
+    and through the fused op."""
+
     def test_positive_half_space_is_identity(self):
         # channels already aligned with the learned direction pass through
         v = np.zeros((1, 3, 2))
         v[0, :, 0] = [1.0, 0.1, 0.0]
         v[0, :, 1] = [0.5, 0.0, 0.2]
         w = np.array([[1.0], [1.0]])  # k = v1 + v2, positive dots
-        out = vn_nonlinearity(ad.Tensor(v), ad.Tensor(w))
+        out = composed_vn_nonlinearity(ad.Tensor(v), ad.Tensor(w))
         np.testing.assert_allclose(out.data, v, atol=1e-12)
 
     def test_antiparallel_channel_truncates_to_zero(self):
@@ -54,7 +71,7 @@ class TestVnNonlinearity:
         v[0, :, 0] = [1.0, 0.0, 0.0]   # defines the direction
         v[0, :, 1] = [-2.0, 0.0, 0.0]  # anti-parallel to it
         w = np.array([[1.0], [0.0]])   # k = first channel
-        out = vn_nonlinearity(ad.Tensor(v), ad.Tensor(w))
+        out = composed_vn_nonlinearity(ad.Tensor(v), ad.Tensor(w))
         np.testing.assert_allclose(out.data[0, :, 1], 0.0, atol=1e-12)
         np.testing.assert_allclose(out.data[0, :, 0], v[0, :, 0], atol=1e-12)
 
@@ -62,41 +79,42 @@ class TestVnNonlinearity:
     @settings(max_examples=30, deadline=None)
     def test_equivariance(self, seed):
         rng = np.random.default_rng(seed)
-        v = rng.standard_normal((4, 3, 5))
-        w = rng.standard_normal((5, 1))
+        v = rng.standard_normal((2, 6, 3, 2))
+        knn = rng.integers(0, 6, (2, 6, 3))
+        w = ad.Tensor(rng.standard_normal((4, 5)))
+        d = ad.Tensor(rng.standard_normal((5, 1)))
         rot = sample_rotation_so3(seed).matrix
-        rotate_first = vn_nonlinearity(ad.Tensor(rotate_channels(rot, v)),
-                                       ad.Tensor(w)).data
-        rotate_last = rotate_channels(
-            rot, vn_nonlinearity(ad.Tensor(v), ad.Tensor(w)).data)
+        rotate_first = vn_edge_conv(ad.Tensor(rotate_channels(rot, v)), knn, w, d).data
+        rotate_last = rotate_channels(rot, vn_edge_conv(ad.Tensor(v), knn, w, d).data)
         scale = max(np.abs(rotate_last).max(), 1e-12)
         assert np.abs(rotate_first - rotate_last).max() / scale <= 1e-9
 
     def test_gradient(self, rng):
-        w = ad.Tensor(rng.standard_normal((4, 1)))
-        x = rng.standard_normal((2, 3, 4))
-        weights = ad.Tensor(rng.standard_normal((2, 3, 4)))
-        err = check_tensor_gradient(
-            lambda t: ad.tsum(vn_nonlinearity(t, w) * weights), x)
-        assert err <= 1e-4
+        v = rng.standard_normal((1, 5, 3, 2))
+        knn = rng.integers(0, 5, (1, 5, 3))
+        w = rng.standard_normal((4, 3))
+        d = rng.standard_normal((3, 1))
+        weights = ad.Tensor(rng.standard_normal((1, 5, 3, 3)))
+        cases = {"v": (v, lambda t: vn_edge_conv(t, knn, ad.Tensor(w), ad.Tensor(d))),
+                 "weight": (w, lambda t: vn_edge_conv(ad.Tensor(v), knn, t, ad.Tensor(d))),
+                 "direction": (d, lambda t: vn_edge_conv(ad.Tensor(v), knn,
+                                                         ad.Tensor(w), t))}
+        for name, (value, fn) in cases.items():
+            err = check_tensor_gradient(lambda t: ad.tsum(fn(t) * weights), value)
+            assert err <= 1e-4, name
 
 
-def composed_vn_nonlinearity(v, w):
-    """Reference form of vn_nonlinearity, op by op: v + relu(-v . k_hat) k_hat."""
-    khat = ad.normalize(ad.matmul(v, w), axis=-2)
-    dot = ad.tsum(v * khat, axis=-2, keepdims=True)
-    return v + ad.relu(-dot) * khat
-
-
-def fused_and_composed(v, w, weights, v_grad=True):
-    """Value and (v, w) gradients of sum(f(v, w) * weights) for both forms."""
+def fused_and_composed(v, knn, w, d, weights, v_grad=True):
+    """Value and (v, weight, direction) gradients of sum(f(...) * weights)
+    for vn_edge_conv and its reference form."""
     results = []
-    for fn in (vn_nonlinearity, composed_vn_nonlinearity):
+    for fn in (vn_edge_conv, composed_edge_conv):
         vt = ad.Tensor(v, requires_grad=v_grad)
         wt = ad.Tensor(w, requires_grad=True)
-        out = fn(vt, wt)
+        dt = ad.Tensor(d, requires_grad=True)
+        out = fn(vt, knn, wt, dt)
         ad.backward(ad.tsum(out * ad.Tensor(weights)))
-        results.append((out, vt.grad, wt.grad))
+        results.append((out, vt.grad, wt.grad, dt.grad))
     return results
 
 
@@ -105,54 +123,88 @@ def relative(a, b):
 
 
 class TestFusedVnNonlinearity:
-    """The one-node nonlinearity against the op-by-op form it replaces."""
+    """vn_edge_conv, the one-node edge linear + nonlinearity + mean, against
+    the op-by-op form it replaces."""
 
     def test_matches_composed_form(self, rng):
-        v = rng.standard_normal((2, 5, 3, 3, 6))     # (B, N, K, 3, C)
-        w = rng.standard_normal((6, 1))
-        (out, gv, gw), (ref, ref_gv, ref_gw) = fused_and_composed(
-            v, w, rng.standard_normal(v.shape))
-        assert out._op == "vn_nonlinearity" and len(out._parents) == 2
-        assert relative(out.data, ref.data) <= 1e-14
-        assert relative(gv, ref_gv) <= 1e-14
-        assert relative(gw, ref_gw) <= 1e-14
-        # both branches ran: some channels were truncated, some passed
-        truncated = np.abs(out.data - v).max(axis=-2) > 0
-        assert truncated.any() and not truncated.all()
+        b, n, k, c, c_out = 2, 9, 4, 3, 6
+        v = rng.standard_normal((b, n, 3, c))
+        # repeated neighbours and the point itself exercise the scatter
+        knn = rng.integers(0, n, (b, n, k))
+        knn[0, 0] = 0
+        w = rng.standard_normal((2 * c, c_out))
+        d = rng.standard_normal((c_out, 1))
+        (out, gv, gw, gd), (ref, ref_gv, ref_gw, ref_gd) = fused_and_composed(
+            v, knn, w, d, rng.standard_normal((b, n, 3, c_out)))
+        assert out._op == "vn_edge_conv" and len(out._parents) == 3
+        assert relative(out.data, ref.data) <= 1e-12
+        assert relative(gv, ref_gv) <= 1e-12
+        assert relative(gw, ref_gw) <= 1e-12
+        assert relative(gd, ref_gd) <= 1e-12
+        # both branches ran: some edge channels were truncated, some passed
+        mixed = edge_linear(ad.Tensor(v), gather_neighbors(ad.Tensor(v), knn),
+                            ad.Tensor(w)).data
+        dots = np.einsum("...dc,...dx->...xc", mixed, mixed @ d)
+        assert (dots < 0).any() and (dots > 0).any()
 
     def test_zero_direction_row_passes_through(self, rng):
-        # k = V w vanishes at one point; the norm guard keeps it finite and
-        # the point's features pass unchanged
-        v = rng.standard_normal((3, 3, 4))
-        w = np.array([[1.0], [-1.0], [0.5], [2.0]])
-        v[1, :, 0] = v[1, :, 1]
-        v[1, :, 2:] = 0.0                             # k = 0 at point 1
-        (out, gv, gw), (ref, ref_gv, ref_gw) = fused_and_composed(
-            v, w, rng.standard_normal(v.shape))
-        np.testing.assert_array_equal(out.data[1], v[1])
-        assert np.isfinite(gv).all() and np.isfinite(gw).all()
-        assert relative(gv, ref_gv) <= 1e-14
-        assert relative(gw, ref_gw) <= 1e-14
+        # d = (d_0, 0, ...) and a zero first column of W_b leave
+        # k = v_i (W_a - W_b)[:, 0] d_0, so every edge of a point with
+        # v_i = 0 has k = 0 exactly: the norm guard keeps those rows finite,
+        # nothing is truncated and the point's output is the plain mean
+        b, n, k, c, c_out = 1, 7, 3, 2, 4
+        v = rng.standard_normal((b, n, 3, c))
+        v[0, 2] = 0.0
+        knn = rng.integers(0, n, (b, n, k))
+        d = np.zeros((c_out, 1))
+        d[0] = 1.5
+        w = rng.standard_normal((2 * c, c_out))
+        w[c:, 0] = 0.0
+        (out, gv, gw, gd), (ref, ref_gv, ref_gw, ref_gd) = fused_and_composed(
+            v, knn, w, d, rng.standard_normal((b, n, 3, c_out)))
+        mixed = edge_linear(ad.Tensor(v), gather_neighbors(ad.Tensor(v), knn),
+                            ad.Tensor(w)).data
+        np.testing.assert_allclose(out.data[0, 2], mixed[0, 2].mean(axis=0),
+                                   rtol=0, atol=1e-14)
+        for grad in (gv, gw, gd):
+            assert np.isfinite(grad).all()
+        assert relative(out.data, ref.data) <= 1e-12
+        assert relative(gv, ref_gv) <= 1e-12
+        assert relative(gw, ref_gw) <= 1e-12
+        assert relative(gd, ref_gd) <= 1e-12
 
     def test_non_finite_direction_raises(self):
-        v = ad.Tensor(np.full((1, 3, 2), 1e300))
+        v = ad.Tensor(np.full((1, 2, 3, 1), 1e300))
+        knn = np.zeros((1, 2, 1), dtype=int)
         with np.errstate(all="ignore"), pytest.raises(ad.NumericError) as err:
-            vn_nonlinearity(v, ad.Tensor(np.full((2, 1), 1e300)))
-        assert err.value.op == "vn_nonlinearity"
+            vn_edge_conv(v, knn, ad.Tensor(np.full((2, 2), 1e300)),
+                         ad.Tensor(np.full((2, 1), 1e300)))
+        assert err.value.op == "vn_edge_conv"
 
-    def test_first_layer_grad_reaches_direction_only(self, rng):
+    def test_first_layer_grad_reaches_parameters_only(self, rng):
         # the encoder's first layer sees raw points, which need no gradient
-        v = rng.standard_normal((4, 3, 5))
-        w = rng.standard_normal((5, 1))
-        weights = rng.standard_normal(v.shape)
-        (out, gv, gw), (_, _, ref_gw) = fused_and_composed(v, w, weights,
-                                                           v_grad=False)
-        assert gv is None and len(out._parents) == 1
-        assert relative(gw, ref_gw) <= 1e-14
-        err = check_tensor_gradient(
-            lambda t: ad.tsum(vn_nonlinearity(ad.Tensor(v), t)
-                              * ad.Tensor(weights)), w)
-        assert err <= 1e-4
+        v = rng.standard_normal((1, 6, 3, 1))
+        knn = rng.integers(0, 6, (1, 6, 2))
+        w = rng.standard_normal((2, 5))
+        d = rng.standard_normal((5, 1))
+        weights = rng.standard_normal((1, 6, 3, 5))
+        (out, gv, gw, gd), (_, _, ref_gw, ref_gd) = fused_and_composed(
+            v, knn, w, d, weights, v_grad=False)
+        assert gv is None and len(out._parents) == 2
+        assert relative(gw, ref_gw) <= 1e-12
+        assert relative(gd, ref_gd) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_cloud_index_rejected(self, bad):
+        # with two clouds of three points, index 3 of cloud 0 would be
+        # point 0 of cloud 1, and -1 would wrap around
+        v = ad.Tensor(np.ones((2, 3, 3, 1)))
+        knn = np.zeros((2, 3, 1), dtype=int)
+        knn[0, 1, 0] = bad
+        with pytest.raises(ValueError):
+            vn_edge_conv(v, knn, ad.Tensor(np.ones((2, 2))), ad.Tensor(np.ones((2, 1))))
+        with pytest.raises(ValueError):
+            gather_neighbors(v, knn)
 
 
 def concat_edge_linear(x, xj, w):
