@@ -152,6 +152,11 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def recording(parents: Iterable[Tensor]) -> bool:
+    """Whether an op on `parents` is recorded on the graph."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _from_op(data: np.ndarray, op: str, parents: Sequence[Tensor],
              vjps: Sequence[Callable[[np.ndarray], np.ndarray]],
              check: bool = False) -> Tensor:
@@ -160,7 +165,7 @@ def _from_op(data: np.ndarray, op: str, parents: Sequence[Tensor],
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if recording(parents):
         out.requires_grad = True
         kept = [(p, v) for p, v in zip(parents, vjps) if p.requires_grad]
         out._parents = tuple(p for p, _ in kept)

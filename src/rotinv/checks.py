@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,8 +21,8 @@ from .dataset import DatasetSpec, SyntheticDataset, generate_dataset
 from .geometry import knn_graph, sample_rotation_so3
 from .gradcheck import check_tensor_gradient, directional_derivative_error
 from .harness import Protocol, RunReport, TrainConfig, evaluate, run_experiment
-from .network import (PROTOCOL_ROWS, FusionModel, ModelConfig, named_config,
-                      relative_defect, total_loss)
+from .network import (PROTOCOL_ROWS, FusionModel, ModelConfig, inv_edge_conv,
+                      named_config, relative_defect, total_loss)
 from .vecneuron import EquivariantEncoder, gather_neighbors, vn_edge_conv
 
 
@@ -209,8 +210,7 @@ def check_gradient_suite(seed: int = 0) -> CheckResult:
         return ad.tsum(frame.matrix * ad.Tensor(weights_gs))
 
     def addmm_loss(t: ad.Tensor) -> ad.Tensor:
-        # per-point c broadcast over the neighbours, per-edge a, 2-D b: the
-        # shape edge_linear uses
+        # per-point c broadcast over the neighbours, per-edge a, 2-D b
         out = ad.addmm(ad.reshape(t[0], (10, 1, 3)),
                        gather_neighbors(ad.reshape(t[1], (1, 10, 3)), knn)[0],
                        t[0, :3])
@@ -222,11 +222,23 @@ def check_gradient_suite(seed: int = 0) -> CheckResult:
         out = vn_edge_conv(v, knn, t[0, :4, :2], ad.reshape(t[1, 0, :2], (2, 1)))
         return ad.tsum(out * ad.Tensor(weights_vn.reshape(out.shape)))
 
+    def inv_edge_loss(t: ad.Tensor) -> ad.Tensor:
+        # points, neighbours, both weights and both biases all depend on t
+        x = ad.reshape(t[0], (1, 10, 3))
+        xj = gather_neighbors(ad.reshape(t[1] * t[1], (1, 10, 3)), knn)
+        fc1 = SimpleNamespace(weight=ad.reshape(t[:, 2:5], (6, 3)), bias=t[0, 5])
+        fc2 = SimpleNamespace(weight=ad.transpose(t[1, 7:9], (1, 0)),
+                              bias=t[0, 9, :2])
+        out = inv_edge_conv(x, xj, fc1, fc2)
+        return ad.tsum(out * ad.Tensor(weights_inv.reshape(out.shape)))
+
     weights_gs = rng.standard_normal((10, 3, 3))
     weights_edge = rng.standard_normal((10, 4, 3))
     weights_vn = rng.standard_normal((10, 3, 2))
+    weights_inv = rng.standard_normal((10, 2))
     for name, f in [("gram-schmidt-frame", gs_loss), ("bisector-frame", bisector_loss),
-                    ("addmm", addmm_loss), ("vn-edge-conv", vn_edge_loss)]:
+                    ("addmm", addmm_loss), ("vn-edge-conv", vn_edge_loss),
+                    ("inv-edge-conv", inv_edge_loss)]:
         err = check_tensor_gradient(f, raw)
         worst = max(worst, err)
         details.append(f"{name}={err:.2g}")

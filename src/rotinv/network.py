@@ -12,8 +12,8 @@ from . import autodiff as ad
 from . import frames as fr
 from .autodiff import Parameter, Tensor
 from .geometry import knn_graph, sample_rotation_so3
-from .vecneuron import (EquivariantEncoder, edge_linear, gather_neighbors,
-                        seeded_normal, vn_invariant_head)
+from .vecneuron import (EquivariantEncoder, gather_neighbors, seeded_normal,
+                        vn_invariant_head)
 
 FRAME_KINDS = ("identity", "handcrafted", "gram-schmidt", "lcrf")
 RPR_SOURCES = ("off", "coordinate", "handcrafted-ppf", "equivariant", "invariant")
@@ -54,6 +54,14 @@ class ModelConfig:
             raise ValueError(f"graph_metric must be one of {GRAPH_METRICS}")
         if self.lambda_orth < 0 or self.lambda_consist < 0:
             raise ValueError("loss weights must be >= 0")
+        if len(self.inv_widths) != 3:
+            raise ValueError(f"inv_widths must hold exactly 3 widths, one per "
+                             f"invariant edge convolution, got {self.inv_widths}")
+        if not self.vn_widths or self.vn_widths[-1] < 2:
+            # the frame pair is two projections of the last encoder layer's
+            # channels; one channel makes them parallel at every point
+            raise ValueError(f"vn_widths must be non-empty and end in a width "
+                             f">= 2, got {self.vn_widths}")
         for w in (*self.vn_widths, *self.inv_widths, self.head_channels,
                   self.rpr_channels, self.rpr_hidden, self.classifier_hidden,
                   self.fusion_width):
@@ -144,6 +152,101 @@ class Mlp:
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(ad.relu(self.fc1(x)))
+
+
+def inv_edge_conv(x: Tensor, xj: Tensor, fc1: Linear, fc2: Linear) -> Tensor:
+    """One invariant edge convolution as one tape node:
+    max_k relu(concat[x_i, x_j - x_i] W1 + b1) W2 + b2.
+
+    `x` is (B, N, C) per point and `xj` (B, N, K, C) per edge, and `fc1`,
+    `fc2` are the MLP's two layers, whose weights and biases are parents too;
+    returns (B, N, Cout).  With W_a, W_b the first and last C rows of W1,
+
+        concat[x_i, x_j - x_i] W1 + b1 = (x_i (W_a - W_b) + b1) + x_j W_b,
+
+    so the centre term and the bias are one product per point, added in
+    place onto the per-edge product (DGCNN's split), and the relu runs in
+    place too.  The fc2 bias is added after the max: rounding is monotone,
+    so max_k(y_k + b) and max_k(y_k) + b are the same float.  The difference
+    channel cancels any constant offset added to all points.
+
+    When the graph is recorded the node keeps, besides its parents, only the
+    argmax over K of the fc2 product (the first on ties, as in `ad.tmax`);
+    under `no_grad` only the max is taken.  Backward builds the hidden layer
+    again with the same arithmetic, so the same bits (activation
+    recomputation, Chen et al. 2016), routes the gradient to the argmax
+    rows, and sums the per-edge hidden gradient over K for the per-point
+    centre product; each per-edge array is dropped as soon as it is dead.
+    """
+    c = x.shape[-1]
+    w1, b1 = fc1.weight.data, fc1.bias.data
+    w2, b2 = fc2.weight.data, fc2.bias.data
+    w_b = w1[c:]
+    w_ab = w1[:c] - w_b
+    x_i = x.data.reshape(x.shape[:2] + (1, c))
+    edges = xj.data
+
+    def hidden() -> np.ndarray:
+        center = x_i @ w_ab
+        center += b1
+        h = edges @ w_b
+        h += center
+        return np.maximum(h, 0.0, out=h)
+
+    parents = (x, xj, fc1.weight, fc1.bias, fc2.weight, fc2.bias)
+    y = hidden() @ w2
+    out = y.max(axis=2)
+    if ad.recording(parents):
+        # the first neighbour that reaches the max, as np.argmax picks it:
+        # one compare per neighbour costs about half of an argmax over a
+        # middle axis, which copies the array (a NaN max matches none, so
+        # its gradient goes to neighbour 0)
+        first = np.zeros(out.shape, dtype=np.int64)
+        for k in reversed(range(y.shape[2])):
+            first[y[:, :, k] == out] = k
+        idx = first[:, :, None]
+    del y
+    out += b2
+
+    def gradients(g: np.ndarray) -> dict[str, np.ndarray]:
+        """Every parent's gradient that backward will ask for."""
+        h = hidden()
+        gy = np.zeros(h.shape[:3] + w2.shape[1:])
+        np.put_along_axis(gy, idx, g[:, :, None], axis=2)
+        grads = {"w2": h.reshape(-1, h.shape[-1]).T @ gy.reshape(-1, gy.shape[-1]),
+                 "b2": g.sum(axis=(0, 1))}
+        live = h > 0
+        del h
+        gh = gy @ w2.T
+        del gy
+        gh *= live
+        del live
+        if xj.requires_grad:
+            grads["xj"] = gh @ w_b.T
+        g_wb = edges.reshape(-1, c).T @ gh.reshape(-1, gh.shape[-1])
+        g_center = gh.sum(axis=2, keepdims=True)
+        del gh
+        if x.requires_grad:
+            grads["x"] = (g_center @ w_ab.T).reshape(x.shape)
+        g_ab = x_i.reshape(-1, c).T @ g_center.reshape(-1, g_center.shape[-1])
+        grads["w1"] = np.concatenate([g_ab, g_wb - g_ab])
+        grads["b1"] = g_center.sum(axis=(0, 1, 2))
+        return grads
+
+    memo: dict = {}
+
+    def vjp(name: str):
+        # backward hands every parent the same g: the gradients are computed
+        # once, and each parent takes its own, so none outlives its use here
+        def take(g):
+            if memo.get("g") is not g or name not in memo:
+                memo.clear()
+                memo.update(gradients(g), g=g)
+            return memo.pop(name)
+        return take
+
+    return ad._from_op(out, "inv_edge_conv", parents,
+                       [vjp(name) for name in ("x", "xj", "w1", "b1", "w2", "b2")])
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +513,6 @@ class FusionModel:
         frame, _ = fr.lcrf_frame(pair, fallback=fallback)
         return frame
 
-    @staticmethod
-    def _edge_conv(x: Tensor, xj: Tensor, phi: Mlp) -> Tensor:
-        """phi(concat[x_i, x_j - x_i]) max-pooled over the K neighbors.
-
-        The fc2 bias is added after the pool: rounding is monotone, so
-        max_k(h_k + b) and max_k(h_k) + b are the same float.
-        """
-        hidden = ad.relu(edge_linear(x, xj, phi.fc1.weight, phi.fc1.bias))
-        return ad.tmax(ad.matmul(hidden, phi.fc2.weight), axis=2) + phi.fc2.bias
-
     def _pose_code(self, frame: fr.Frame, points: Tensor,
                    veq: Optional[Tensor], x: Tensor, xj: Tensor,
                    knn: np.ndarray) -> Tensor:
@@ -467,7 +560,7 @@ class FusionModel:
         pj = ad.reshape(gather_neighbors(pts, knn_coord), (b, n, cfg.k, 3, 1))
         pj_local = ad.reshape(ad.matmul(ad.reshape(ut, (b, n, 1, 3, 3)), pj),
                               (b, n, cfg.k, 3))
-        x = self._edge_conv(p_local, pj_local, self.psi)
+        x = inv_edge_conv(p_local, pj_local, self.psi.fc1, self.psi.fc2)
 
         # later layers on a dynamic graph with optional pose gating
         for phi, gate in zip((self.phi1, self.phi2), self.gates):
@@ -479,7 +572,7 @@ class FusionModel:
             if gate is not None:
                 code = self._pose_code(frame, pts, veq, x, xj, idx)
                 xj = gate(ad.reshape(code, code.shape[:3] + (-1,))) * xj
-            x = self._edge_conv(x, xj, phi)
+            x = inv_edge_conv(x, xj, phi.fc1, phi.fc2)
 
         pooled_inv = ad.tmax(x, axis=1)
         logits_inv = self.cls_inv(pooled_inv)

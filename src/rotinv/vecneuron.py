@@ -56,29 +56,6 @@ def gather_neighbors(features: Tensor, knn: np.ndarray) -> Tensor:
     return ad.gather(flat, _batch_rows(knn, b, n))
 
 
-def edge_linear(x: Tensor, xj: Tensor, weight: Tensor,
-                bias: Tensor | None = None) -> Tensor:
-    """The edge-convolution linear: per-edge channels (x_i, x_j - x_i) times W.
-
-    `x` is (B, N, ..., C) per point, `xj` is (B, N, K, ..., C) per edge and
-    `weight` is (2C, Cout); returns (B, N, K, ..., Cout).  With W_a, W_b the
-    first and last C rows of W,
-
-        concat[x_i, x_j - x_i] W + bias = (x_i (W_a - W_b) + bias) + x_j W_b,
-
-    so the center term and the bias are one product per point, added in
-    place onto the per-edge product, and no per-edge concat, broadcast copy
-    or bias add is built.  The difference channel cancels any constant
-    offset added to all points.
-    """
-    c = x.shape[-1]
-    w_a, w_b = weight[:c], weight[c:]
-    x_i = ad.reshape(x, x.shape[:2] + (1,) + x.shape[2:])
-    center = (ad.matmul(x_i, w_a - w_b) if bias is None
-              else ad.addmm(bias, x_i, w_a - w_b))
-    return ad.addmm(center, xj, w_b)
-
-
 def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
                  direction: Tensor) -> Tensor:
     """One vector-neuron edge convolution as one tape node: edge linear,

@@ -1,5 +1,6 @@
 import struct
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from rotinv import autodiff as ad
 from rotinv.gradcheck import check_tensor_gradient, finite_difference_gradient
-from rotinv.vecneuron import vn_edge_conv
+from rotinv.network import inv_edge_conv
+from rotinv.vecneuron import gather_neighbors, vn_edge_conv
 
 
 class TestForwardBasics:
@@ -223,6 +225,14 @@ PRIMITIVE_CASES = [
         ad.reshape(t[:, :3], (2, 2, 3, 1)), KNN_TWO_CLOUDS,
         ad.reshape(t[2, :4], (2, 2)), ad.reshape(t[3, 3:], (2, 1)))
         * ad.Tensor(CONST_453[:, :3, :2].reshape(2, 2, 3, 2)))),
+    # one invariant edge convolution with x, x_j, W1, b1, W2 and b2 all
+    # functions of t; the graph repeats neighbours and lists a point as its own
+    ("inv_edge_conv", lambda t: ad.tsum(inv_edge_conv(
+        ad.reshape(t[0, :4], (1, 2, 2)),
+        gather_neighbors(ad.reshape(t[1, 1:] * t[1, 1:], (1, 2, 2)), KNN_ONE_CLOUD),
+        SimpleNamespace(weight=t[:, 2:], bias=t[2, :3]),
+        SimpleNamespace(weight=ad.transpose(t[1:3, 2:], (1, 0)), bias=t[0, 3:]))
+        * ad.Tensor(CONST_453[0, :2, :2].reshape(1, 2, 2)))),
 ]
 
 

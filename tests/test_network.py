@@ -47,6 +47,20 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(rpr_source="normals")
 
+    @pytest.mark.parametrize("widths", [(64, 64), (8, 8, 8, 8), ()])
+    def test_inv_widths_must_be_three(self, widths):
+        # the model has exactly three invariant edge convolutions
+        with pytest.raises(ValueError, match="inv_widths"):
+            ModelConfig(inv_widths=widths)
+
+    @pytest.mark.parametrize("widths", [(), (8, 1)])
+    def test_vn_widths_must_end_in_two_channels(self, widths):
+        # one output channel projects to a frame pair that is parallel at
+        # every point, so every frame would be degenerate
+        with pytest.raises(ValueError, match="vn_widths"):
+            ModelConfig(vn_widths=widths)
+        ModelConfig(vn_widths=widths + (2,))
+
 
 class TestPoseCodes:
     def make_inputs(self, rng, c=3):
@@ -344,11 +358,12 @@ def test_mean_knn_consistency_identity_frames():
 
 
 def test_edge_convolutions_build_no_per_edge_copies(rng):
-    # edge_linear folds the center term and the bias into one in-place add,
-    # so the training tape carries no concat, broadcast_to or add with the K
-    # neighbor axis.  Each encoder layer is one vn_edge_conv node over its
-    # per-point output, so no per-edge tensor of any vector-neuron width is
-    # recorded.  The frame axes' stack is the only concat left.
+    # Each edge convolution is one tape node over its per-point output: one
+    # vn_edge_conv per encoder layer and one inv_edge_conv per invariant
+    # layer, so no per-edge tensor of any vector-neuron or invariant width is
+    # recorded.  The gate MLP's hidden relu is the only per-edge relu left,
+    # no tensor with the K neighbour axis goes through concat, broadcast_to,
+    # add or max, and the frame axes' stack is the only concat left.
     cfg = named_config("full", **TINY_MODEL)
     model = FusionModel(cfg)
     b, n = 2, 20
@@ -365,12 +380,18 @@ def test_edge_convolutions_build_no_per_edge_copies(rng):
         nodes.append((node._op, node.shape))
         stack.extend(node._parents)
     per_edge = [c for c in nodes if c[1][:3] == (b, n, cfg.k)]
-    for op in ("concat", "broadcast_to", "add"):
+    for op in ("concat", "broadcast_to", "add", "max"):
         assert [c for c in per_edge if c[0] == op] == [], op
-    widths = TINY_MODEL["vn_widths"]
-    assert [c for c in per_edge if c[1] in [(b, n, cfg.k, 3, w) for w in widths]] == []
+    vn_widths, inv_widths = TINY_MODEL["vn_widths"], TINY_MODEL["inv_widths"]
+    assert [c for c in per_edge if c[1] in [(b, n, cfg.k, 3, w) for w in vn_widths]] == []
+    assert [c for c in per_edge if c[0] in ("relu", "matmul")
+            and c[1][-1] in inv_widths] == []
+    assert [c[1] for c in per_edge if c[0] == "relu"] == [
+        (b, n, cfg.k, cfg.rpr_hidden)] * 2
     assert sorted(c[1] for c in nodes if c[0] == "vn_edge_conv") == sorted(
-        (b, n, 3, w) for w in widths)
+        (b, n, 3, w) for w in vn_widths)
+    assert sorted(c[1] for c in nodes if c[0] == "inv_edge_conv") == sorted(
+        (b, n, w) for w in inv_widths)
     assert any(op == "concat" for op, _ in nodes), "the frame stack should stay"
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,9 @@ from hypothesis import strategies as st
 from rotinv import autodiff as ad
 from rotinv.geometry import knn_graph, sample_rotation_so3
 from rotinv.gradcheck import check_tensor_gradient
-from rotinv.vecneuron import (EquivariantEncoder, VnEdgeConv, edge_linear,
-                              gather_neighbors, vn_edge_conv, vn_invariant_head,
-                              vn_linear)
+from rotinv.network import inv_edge_conv
+from rotinv.vecneuron import (EquivariantEncoder, VnEdgeConv, gather_neighbors,
+                              vn_edge_conv, vn_invariant_head, vn_linear)
 
 
 def rotate_channels(rot, v):
@@ -44,6 +46,27 @@ def composed_vn_nonlinearity(v, w):
     khat = ad.normalize(ad.matmul(v, w), axis=-2)
     dot = ad.tsum(v * khat, axis=-2, keepdims=True)
     return v + ad.relu(-dot) * khat
+
+
+def edge_linear(x, xj, weight, bias=None):
+    """The edge-convolution linear, op by op: per-edge channels
+    (x_i, x_j - x_i) times W, the oracle for both fused edge convolutions.
+
+    `x` is (B, N, ..., C) per point, `xj` is (B, N, K, ..., C) per edge and
+    `weight` is (2C, Cout); returns (B, N, K, ..., Cout).  With W_a, W_b the
+    first and last C rows of W,
+
+        concat[x_i, x_j - x_i] W + bias = (x_i (W_a - W_b) + bias) + x_j W_b,
+
+    so the center term and the bias are one product per point, added in
+    place onto the per-edge product.
+    """
+    c = x.shape[-1]
+    w_a, w_b = weight[:c], weight[c:]
+    x_i = ad.reshape(x, x.shape[:2] + (1,) + x.shape[2:])
+    center = (ad.matmul(x_i, w_a - w_b) if bias is None
+              else ad.addmm(bias, x_i, w_a - w_b))
+    return ad.addmm(center, xj, w_b)
 
 
 def composed_edge_conv(v, knn, weight, direction):
@@ -272,6 +295,122 @@ class TestEdgeFeatures:
         conv = VnEdgeConv("t", 1, 4, seed=0)
         with pytest.raises(ValueError):
             conv(ad.Tensor(np.zeros((1, 1, 3, 1))), np.zeros((1, 1, 0), dtype=int))
+
+
+def composed_inv_edge_conv(x, xj, fc1, fc2):
+    """Reference form of inv_edge_conv: edge linear, relu, fc2 and the max
+    over K as separate ops over full per-edge tensors."""
+    hidden = ad.relu(edge_linear(x, xj, fc1.weight, fc1.bias))
+    return ad.tmax(ad.matmul(hidden, fc2.weight), axis=2) + fc2.bias
+
+
+def inv_edge_conv_runs(x, xj, w1, b1, w2, b2, weights, x_grad=True):
+    """Value and (x, xj, W1, b1, W2, b2) gradients of sum(f(...) * weights)
+    for inv_edge_conv and its reference form."""
+    results = []
+    for fn in (inv_edge_conv, composed_inv_edge_conv):
+        xt = ad.Tensor(x, requires_grad=x_grad)
+        xjt = ad.Tensor(xj, requires_grad=x_grad)
+        fc1 = SimpleNamespace(weight=ad.Tensor(w1, requires_grad=True),
+                              bias=ad.Tensor(b1, requires_grad=True))
+        fc2 = SimpleNamespace(weight=ad.Tensor(w2, requires_grad=True),
+                              bias=ad.Tensor(b2, requires_grad=True))
+        out = fn(xt, xjt, fc1, fc2)
+        ad.backward(ad.tsum(out * ad.Tensor(weights)))
+        results.append((out, [xt.grad, xjt.grad, fc1.weight.grad, fc1.bias.grad,
+                              fc2.weight.grad, fc2.bias.grad]))
+    return results
+
+
+class TestInvEdgeConv:
+    """inv_edge_conv, the one-node edge linear + relu + fc2 + max over K,
+    against the op-by-op form it replaces: the same bits in the value and in
+    every gradient."""
+
+    def inputs(self, rng, b=2, n=9, k=4, c=3, hidden=6, c_out=5):
+        x = rng.standard_normal((b, n, c))
+        knn = rng.integers(0, n, (b, n, k))
+        xj = gather_neighbors(ad.Tensor(x), knn).data
+        return (x, xj, rng.standard_normal((2 * c, hidden)),
+                rng.standard_normal(hidden), rng.standard_normal((hidden, c_out)),
+                rng.standard_normal(c_out), rng.standard_normal((b, n, c_out)))
+
+    def assert_bit_identical(self, args, x_grad=True):
+        (out, grads), (ref, ref_grads) = inv_edge_conv_runs(*args, x_grad=x_grad)
+        assert out._op == "inv_edge_conv"
+        assert len(out._parents) == (6 if x_grad else 4)
+        assert np.array_equal(out.data, ref.data)
+        for name, g, r in zip(("x", "xj", "w1", "b1", "w2", "b2"), grads, ref_grads):
+            assert (g is None) == (r is None), name
+            assert g is None or np.array_equal(g, r), name
+        return out, grads
+
+    def test_matches_composed_form(self, rng):
+        # psi's input: three coordinate channels per point
+        self.assert_bit_identical(self.inputs(rng, c=3))
+        self.assert_bit_identical(self.inputs(rng, c=7, hidden=16, c_out=8))
+
+    def test_ties_in_max_go_to_first_neighbour(self, rng):
+        x, xj, w1, b1, w2, b2, weights = self.inputs(rng)
+        xj[:, :, 3] = xj[:, :, 1]                 # every edge 3 repeats edge 1
+        xj[0, 2] = xj[0, 2, :1]                   # and one point sees one edge K times
+        _, grads = self.assert_bit_identical((x, xj, w1, b1, w2, b2, weights))
+        # a tied edge after the first never receives a gradient
+        assert not grads[1][:, :, 3].any() and not grads[1][0, 2, 1:].any()
+        assert grads[1][:, :, 1].any()
+
+    def test_single_neighbour(self, rng):
+        args = self.inputs(rng, k=1)
+        out, _ = self.assert_bit_identical(args)
+        x, xj, w1, b1, w2, b2, _ = args
+        c = x.shape[-1]
+        edge = np.maximum(x @ (w1[:c] - w1[c:]) + xj[:, :, 0] @ w1[c:] + b1, 0.0)
+        np.testing.assert_allclose(out.data, edge @ w2 + b2, rtol=1e-13, atol=1e-13)
+
+    def test_dead_hidden_rows(self, rng):
+        # a point whose edges all have x_i = x_j = 0 sees only b1 <= 0: its
+        # hidden units are all zero, every neighbour ties, and its output is b2
+        x, xj, w1, b1, w2, b2, weights = self.inputs(rng)
+        x[1, 4] = 0.0
+        xj[1, 4] = 0.0
+        b1 = -np.abs(b1)
+        out, grads = self.assert_bit_identical((x, xj, w1, b1, w2, b2, weights))
+        np.testing.assert_array_equal(out.data[1, 4], b2)
+        assert not grads[0][1, 4].any() and not grads[1][1, 4].any()
+
+    def test_constant_inputs_reach_parameters_only(self, rng):
+        # psi under identity frames sees constant geometry
+        self.assert_bit_identical(self.inputs(rng), x_grad=False)
+
+    def test_no_grad_records_no_parent(self, rng):
+        x, xj, w1, b1, w2, b2, _ = self.inputs(rng)
+        x[0, :, :] = 0.0                          # ties, as above
+        xj[0, :, :] = 0.0
+        fc1 = SimpleNamespace(weight=ad.Parameter("w1", w1), bias=ad.Parameter("b1", b1))
+        fc2 = SimpleNamespace(weight=ad.Parameter("w2", w2), bias=ad.Parameter("b2", b2))
+        recorded = inv_edge_conv(ad.Tensor(x), ad.Tensor(xj), fc1, fc2)
+        with ad.no_grad():
+            plain = inv_edge_conv(ad.Tensor(x), ad.Tensor(xj), fc1, fc2)
+        assert recorded.requires_grad and len(recorded._parents) == 4
+        assert not plain.requires_grad and plain._parents == () and plain._vjps == ()
+        assert np.array_equal(plain.data, recorded.data)
+
+    def test_gradient(self, rng):
+        x, xj, w1, b1, w2, b2, weights = self.inputs(rng, b=1, n=5, k=3, c=2,
+                                                     hidden=4, c_out=3)
+        weights = ad.Tensor(weights)
+
+        def conv(**given):
+            t = dict(x=x, xj=xj, w1=w1, b1=b1, w2=w2, b2=b2)
+            t = {k: given.get(k, ad.Tensor(v)) for k, v in t.items()}
+            return inv_edge_conv(t["x"], t["xj"],
+                                 SimpleNamespace(weight=t["w1"], bias=t["b1"]),
+                                 SimpleNamespace(weight=t["w2"], bias=t["b2"]))
+
+        for name, value in dict(x=x, xj=xj, w1=w1, b1=b1, w2=w2, b2=b2).items():
+            err = check_tensor_gradient(
+                lambda t: ad.tsum(conv(**{name: t}) * weights), value)
+            assert err <= 1e-4, name
 
 
 class TestEncoder:
