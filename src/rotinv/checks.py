@@ -22,7 +22,7 @@ from .geometry import knn_graph, sample_rotation_so3
 from .gradcheck import check_tensor_gradient, directional_derivative_error
 from .harness import Protocol, RunReport, TrainConfig, evaluate, run_experiment
 from .network import (PROTOCOL_ROWS, FusionModel, ModelConfig, inv_edge_conv,
-                      named_config, relative_defect, total_loss)
+                      named_config, relative_defect, rpr_code, total_loss)
 from .vecneuron import EquivariantEncoder, gather_neighbors, vn_edge_conv
 
 
@@ -232,13 +232,40 @@ def check_gradient_suite(seed: int = 0) -> CheckResult:
         out = inv_edge_conv(x, xj, fc1, fc2)
         return ad.tsum(out * ad.Tensor(weights_inv.reshape(out.shape)))
 
+    def gated_edge_loss(t: ad.Tensor) -> ad.Tensor:
+        # points, the per-edge code, both layers' and the gate's weights and
+        # biases all depend on t
+        code = gather_neighbors(ad.reshape(t[1] * t[1], (1, 10, 3)), knn)
+        fc1 = SimpleNamespace(weight=ad.reshape(t[:, 2:5], (6, 3)), bias=t[0, 5])
+        fc2 = SimpleNamespace(weight=ad.transpose(t[1, 7:9], (1, 0)),
+                              bias=t[0, 9, :2])
+        gate = SimpleNamespace(
+            fc1=SimpleNamespace(weight=ad.reshape(t[1, 5:7], (3, 2)),
+                                bias=t[1, 9, :2]),
+            fc2=SimpleNamespace(weight=t[0, 7:9], bias=t[0, 6] + 1.0))
+        out = inv_edge_conv(ad.reshape(t[0], (1, 10, 3)), knn, fc1, fc2, gate, code)
+        return ad.tsum(out * ad.Tensor(weights_gated.reshape(out.shape)))
+
+    def rpr_code_loss(t: ad.Tensor) -> ad.Tensor:
+        # an unconstrained 3x3 frame matrix and two feature channels per point
+        matrix = ad.reshape(ad.concat([t[0], t[1], t[0] * t[1]], axis=-1),
+                            (1, 10, 3, 3))
+        v = ad.reshape(ad.transpose(t, (1, 2, 0)), (1, 10, 3, 2))
+        out = rpr_code(fr.Frame(matrix, "raw"), v, knn)
+        return ad.tsum(out * ad.Tensor(weights_rpr.reshape(out.shape)))
+
     weights_gs = rng.standard_normal((10, 3, 3))
     weights_edge = rng.standard_normal((10, 4, 3))
     weights_vn = rng.standard_normal((10, 3, 2))
     weights_inv = rng.standard_normal((10, 2))
+    # drawn after every earlier draw, so no earlier case's inputs move
+    weights_gated = rng.standard_normal((10, 2))
+    weights_rpr = rng.standard_normal((10, 4, 3, 2))
     for name, f in [("gram-schmidt-frame", gs_loss), ("bisector-frame", bisector_loss),
                     ("addmm", addmm_loss), ("vn-edge-conv", vn_edge_loss),
-                    ("inv-edge-conv", inv_edge_loss)]:
+                    ("inv-edge-conv", inv_edge_loss),
+                    ("gated-inv-edge-conv", gated_edge_loss),
+                    ("rpr-code", rpr_code_loss)]:
         err = check_tensor_gradient(f, raw)
         worst = max(worst, err)
         details.append(f"{name}={err:.2g}")

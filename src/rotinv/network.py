@@ -12,8 +12,8 @@ from . import autodiff as ad
 from . import frames as fr
 from .autodiff import Parameter, Tensor
 from .geometry import knn_graph, sample_rotation_so3
-from .vecneuron import (EquivariantEncoder, gather_neighbors, seeded_normal,
-                        vn_invariant_head)
+from .vecneuron import (EquivariantEncoder, batch_rows, gather_neighbors,
+                        seeded_normal, vn_invariant_head)
 
 FRAME_KINDS = ("identity", "handcrafted", "gram-schmidt", "lcrf")
 RPR_SOURCES = ("off", "coordinate", "handcrafted-ppf", "equivariant", "invariant")
@@ -154,13 +154,20 @@ class Mlp:
         return self.fc2(ad.relu(self.fc1(x)))
 
 
-def inv_edge_conv(x: Tensor, xj: Tensor, fc1: Linear, fc2: Linear) -> Tensor:
+def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
+                  gate: Optional[Mlp] = None,
+                  code: Optional[Tensor] = None) -> Tensor:
     """One invariant edge convolution as one tape node:
     max_k relu(concat[x_i, x_j - x_i] W1 + b1) W2 + b2.
 
-    `x` is (B, N, C) per point and `xj` (B, N, K, C) per edge, and `fc1`,
-    `fc2` are the MLP's two layers, whose weights and biases are parents too;
-    returns (B, N, Cout).  With W_a, W_b the first and last C rows of W1,
+    `x` is (B, N, C) per point.  `neighbors` is either the (B, N, K) index
+    of each point's neighbours among the points of `x`, gathered inside the
+    node (an index outside [0, N) raises ValueError, as in
+    `gather_neighbors`), or a (B, N, K, C) Tensor of per-edge neighbour
+    features (psi's frame-projected neighbours, which are no gather of x).
+    `fc1`, `fc2` are the MLP's two layers, whose weights and biases are
+    parents too; returns (B, N, Cout).  With W_a, W_b the first and last C
+    rows of W1,
 
         concat[x_i, x_j - x_i] W1 + b1 = (x_i (W_a - W_b) + b1) + x_j W_b,
 
@@ -170,33 +177,85 @@ def inv_edge_conv(x: Tensor, xj: Tensor, fc1: Linear, fc2: Linear) -> Tensor:
     so max_k(y_k + b) and max_k(y_k) + b are the same float.  The difference
     channel cancels any constant offset added to all points.
 
+    With a `gate` (the relative-pose gate, an `Mlp`), each x_j is replaced
+    by gate(code) * x_j before the edge linear.  `code` is the (B, N, K, ...)
+    per-edge pose code, flattened per edge to the gate's input width, or
+    None for the gate to read the edge's own feature difference x_j - x_i
+    (the `invariant` pose source).  The gate's product runs in place on its
+    freshly allocated output.
+
     When the graph is recorded the node keeps, besides its parents, only the
     argmax over K of the fc2 product (the first on ties, as in `ad.tmax`);
-    under `no_grad` only the max is taken.  Backward builds the hidden layer
-    again with the same arithmetic, so the same bits (activation
-    recomputation, Chen et al. 2016), routes the gradient to the argmax
-    rows, and sums the per-edge hidden gradient over K for the per-point
-    centre product; each per-edge array is dropped as soon as it is dead.
+    under `no_grad` only the max is taken.  Backward builds the gathered
+    neighbours, the gate and the hidden layer again with the same
+    arithmetic, so the same bits (activation recomputation, Chen et al.
+    2016), routes the gradient to the argmax rows, and sums the per-edge
+    hidden gradient over K for the per-point centre product; the gradient
+    of gathered neighbours is scattered back to rows (`ad.scatter_rows`).
+    Each per-edge array is dropped as soon as it is dead.
     """
-    c = x.shape[-1]
+    b, n, c = x.shape
     w1, b1 = fc1.weight.data, fc1.bias.data
     w2, b2 = fc2.weight.data, fc2.bias.data
     w_b = w1[c:]
     w_ab = w1[:c] - w_b
-    x_i = x.data.reshape(x.shape[:2] + (1, c))
-    edges = xj.data
+    x_i = x.data.reshape(b, n, 1, c)
+    gathered = not isinstance(neighbors, Tensor)
+    if gathered:
+        rows = batch_rows(neighbors, b, n)
+        flat_x = x.data.reshape(b * n, c)
 
-    def hidden() -> np.ndarray:
+    parents = {"x": x}
+    if not gathered:
+        parents["xj"] = neighbors
+    parents.update(w1=fc1.weight, b1=fc1.bias, w2=fc2.weight, b2=fc2.bias)
+    if gate is not None:
+        parents.update(gw1=gate.fc1.weight, gb1=gate.fc1.bias,
+                       gw2=gate.fc2.weight, gb2=gate.fc2.bias)
+    if code is not None:
+        # backward's depth-first walk must reach x's subgraph before the
+        # code's, as it does through the op-by-op form's gather, so that
+        # tensors shared by both (frames, encoder features) sum their
+        # gradients in the same order
+        parents = {"code": code, **parents}
+
+    def neighbor_features() -> np.ndarray:
+        return flat_x[rows] if gathered else neighbors.data
+
+    def gate_terms(xj: np.ndarray):
+        """The gate's per-edge input, hidden layer and output."""
+        if code is None:
+            inp = xj - x_i
+        else:
+            inp = code.data.reshape(xj.shape[:3] + (-1,))
+        hid = inp @ gate.fc1.weight.data
+        hid += gate.fc1.bias.data
+        np.maximum(hid, 0.0, out=hid)
+        out = hid @ gate.fc2.weight.data
+        out += gate.fc2.bias.data
+        return inp, hid, out
+
+    def hidden(edges: np.ndarray) -> np.ndarray:
         center = x_i @ w_ab
         center += b1
         h = edges @ w_b
         h += center
         return np.maximum(h, 0.0, out=h)
 
-    parents = (x, xj, fc1.weight, fc1.bias, fc2.weight, fc2.bias)
-    y = hidden() @ w2
+    edges = neighbor_features()
+    if gate is not None:
+        # only the gate's output outlives gate_terms, and it takes the
+        # product in place
+        gated = gate_terms(edges)[2]
+        gated *= edges
+        edges = gated
+        del gated
+    h = hidden(edges)
+    del edges
+    y = h @ w2
+    del h
     out = y.max(axis=2)
-    if ad.recording(parents):
+    if ad.recording(parents.values()):
         # the first neighbour that reaches the max, as np.argmax picks it:
         # one compare per neighbour costs about half of an argmax over a
         # middle axis, which copies the array (a NaN max matches none, so
@@ -210,7 +269,13 @@ def inv_edge_conv(x: Tensor, xj: Tensor, fc1: Linear, fc2: Linear) -> Tensor:
 
     def gradients(g: np.ndarray) -> dict[str, np.ndarray]:
         """Every parent's gradient that backward will ask for."""
-        h = hidden()
+        xj = neighbor_features()
+        if gate is None:
+            edges = xj
+        else:
+            inp, hid, gate_out = gate_terms(xj)
+            edges = gate_out * xj
+        h = hidden(edges)
         gy = np.zeros(h.shape[:3] + w2.shape[1:])
         np.put_along_axis(gy, idx, g[:, :, None], axis=2)
         grads = {"w2": h.reshape(-1, h.shape[-1]).T @ gy.reshape(-1, gy.shape[-1]),
@@ -221,16 +286,52 @@ def inv_edge_conv(x: Tensor, xj: Tensor, fc1: Linear, fc2: Linear) -> Tensor:
         del gy
         gh *= live
         del live
-        if xj.requires_grad:
-            grads["xj"] = gh @ w_b.T
         g_wb = edges.reshape(-1, c).T @ gh.reshape(-1, gh.shape[-1])
+        del edges
         g_center = gh.sum(axis=2, keepdims=True)
+        g_edge = None
+        if gate is not None or (x if gathered else neighbors).requires_grad:
+            g_edge = gh @ w_b.T
         del gh
         if x.requires_grad:
             grads["x"] = (g_center @ w_ab.T).reshape(x.shape)
         g_ab = x_i.reshape(-1, c).T @ g_center.reshape(-1, g_center.shape[-1])
         grads["w1"] = np.concatenate([g_ab, g_wb - g_ab])
         grads["b1"] = g_center.sum(axis=(0, 1, 2))
+        if gate is not None:
+            # the product gate * x_j, then the gate's two layers
+            g_gate = g_edge * xj
+            del xj
+            g_edge *= gate_out
+            del gate_out
+            grads["gb2"] = g_gate.sum(axis=(0, 1, 2))
+            grads["gw2"] = (hid.reshape(-1, hid.shape[-1]).T
+                            @ g_gate.reshape(-1, g_gate.shape[-1]))
+            g_hid = g_gate @ gate.fc2.weight.data.T
+            del g_gate
+            g_hid *= hid > 0
+            del hid
+            grads["gb1"] = g_hid.sum(axis=(0, 1, 2))
+            grads["gw1"] = (inp.reshape(-1, inp.shape[-1]).T
+                            @ g_hid.reshape(-1, g_hid.shape[-1]))
+            del inp
+            if code is None:
+                # x_j - x_i: the x_j term joins the gating term before the
+                # scatter and the x_i term is summed over K, in the order
+                # the op-by-op form adds them
+                g_code = g_hid @ gate.fc1.weight.data.T
+                g_edge += g_code
+                if x.requires_grad:
+                    grads["x"] += np.negative(g_code, out=g_code).sum(axis=2)
+                del g_code
+            elif code.requires_grad:
+                grads["code"] = (g_hid @ gate.fc1.weight.data.T).reshape(code.shape)
+            del g_hid
+        if not gathered:
+            if neighbors.requires_grad:
+                grads["xj"] = g_edge
+        elif x.requires_grad:
+            grads["x"] += ad.scatter_rows(g_edge, rows, b * n).reshape(x.shape)
         return grads
 
     memo: dict = {}
@@ -245,8 +346,8 @@ def inv_edge_conv(x: Tensor, xj: Tensor, fc1: Linear, fc2: Linear) -> Tensor:
             return memo.pop(name)
         return take
 
-    return ad._from_op(out, "inv_edge_conv", parents,
-                       [vjp(name) for name in ("x", "xj", "w1", "b1", "w2", "b2")])
+    return ad._from_op(out, "inv_edge_conv", tuple(parents.values()),
+                       [vjp(name) for name in parents])
 
 
 # ---------------------------------------------------------------------------
@@ -255,23 +356,39 @@ def inv_edge_conv(x: Tensor, xj: Tensor, fc1: Linear, fc2: Linear) -> Tensor:
 
 def rpr_code(frame: fr.Frame, equivariant: Tensor, knn: np.ndarray) -> Tensor:
     """Per-edge code U_r^T (v_j - v_r): the frame cancels any input rotation,
-    so the code is invariant while still carrying inter-patch pose."""
+    so the code is invariant while still carrying inter-patch pose.
+
+    `equivariant` is (B, N, 3, C) per point and `knn` the (B, N, K) index;
+    returns (B, N, K, 3, C).  The `coordinate` pose source is this code of
+    the points as one vector channel, (B, N, 3, 1).  One tape node that
+    keeps only its per-point parents; backward forms the differences again
+    with the same arithmetic and scatters their gradient back to rows.
+    """
     b, n = equivariant.shape[0], equivariant.shape[1]
-    vj = gather_neighbors(equivariant, knn)               # (B,N,K,3,C)
-    diff = vj - ad.reshape(equivariant, (b, n, 1) + equivariant.shape[2:])
-    ut = ad.swap_last_axes(frame.matrix)                  # (B,N,3,3)
-    return ad.matmul(ad.reshape(ut, (b, n, 1, 3, 3)), diff)
+    rows = batch_rows(knn, b, n)
+    v = equivariant.data
+    flat = v.reshape((b * n,) + v.shape[2:])
+    ut = np.swapaxes(frame.matrix.data, -1, -2).reshape(b, n, 1, 3, 3)
 
+    def diff() -> np.ndarray:
+        d = flat[rows]
+        d -= v.reshape((b, n, 1) + v.shape[2:])
+        return d
 
-def coordinate_pose_code(frame: fr.Frame, points: Tensor, knn: np.ndarray) -> Tensor:
-    """U_r^T (p_j - p_r) lifted to a single vector channel, (B,N,K,3,1)."""
-    b, n = points.shape[0], points.shape[1]
-    pj = gather_neighbors(points, knn)                    # (B,N,K,3)
-    diff = pj - ad.reshape(points, (b, n, 1, 3))
-    ut = ad.swap_last_axes(frame.matrix)
-    local = ad.matmul(ad.reshape(ut, (b, n, 1, 3, 3)),
-                      ad.reshape(diff, (b, n, knn.shape[-1], 3, 1)))
-    return local
+    def vjp_frame(g):
+        g_ut = (g @ np.swapaxes(diff(), -1, -2)).sum(axis=2)
+        return np.swapaxes(g_ut, -1, -2)
+
+    def vjp_equivariant(g):
+        g_diff = np.swapaxes(ut, -1, -2) @ g
+        grad = ad.scatter_rows(g_diff, rows, b * n).reshape(v.shape)
+        grad += np.negative(g_diff, out=g_diff).sum(axis=2)
+        return grad
+
+    # frame first: backward's depth-first walk then reaches the features'
+    # subgraph before the frame's, as through the op-by-op form
+    return ad._from_op(ut @ diff(), "rpr_code", (frame.matrix, equivariant),
+                       (vjp_frame, vjp_equivariant))
 
 
 def handcrafted_ppf_code(points: np.ndarray, knn: np.ndarray) -> Tensor:
@@ -514,19 +631,19 @@ class FusionModel:
         return frame
 
     def _pose_code(self, frame: fr.Frame, points: Tensor,
-                   veq: Optional[Tensor], x: Tensor, xj: Tensor,
-                   knn: np.ndarray) -> Tensor:
-        """Per-edge relative-pose code, (B,N,K,D) or (B,N,K,3,C)."""
+                   veq: Optional[Tensor], knn: np.ndarray) -> Optional[Tensor]:
+        """Per-edge relative-pose code, (B,N,K,D) or (B,N,K,3,C); None for
+        the `invariant` source, whose gate reads the edge convolution's own
+        feature difference x_j - x_i."""
         source = self.config.rpr_source
         if source == "coordinate":
-            return coordinate_pose_code(frame, points, knn)
+            b, n = points.shape[0], points.shape[1]
+            return rpr_code(frame, ad.reshape(points, (b, n, 3, 1)), knn)
         if source == "handcrafted-ppf":
             return handcrafted_ppf_code(points.data, knn)
         if source == "equivariant":
-            projected = ad.matmul(veq, self.rpr_proj)
-            return rpr_code(frame, projected, knn)
-        b, n = x.shape[0], x.shape[1]
-        return xj - ad.reshape(x, (b, n, 1, x.shape[-1]))
+            return rpr_code(frame, ad.matmul(veq, self.rpr_proj), knn)
+        return None
 
     def forward(self, points: np.ndarray,
                 measure_invariance: bool = False) -> ForwardOutput:
@@ -568,11 +685,9 @@ class FusionModel:
                 idx = self._feature_graph(x.data)
             else:
                 idx = knn_coord
-            xj = gather_neighbors(x, idx)                   # (B,N,K,C)
-            if gate is not None:
-                code = self._pose_code(frame, pts, veq, x, xj, idx)
-                xj = gate(ad.reshape(code, code.shape[:3] + (-1,))) * xj
-            x = inv_edge_conv(x, xj, phi.fc1, phi.fc2)
+            code = (None if gate is None
+                    else self._pose_code(frame, pts, veq, idx))
+            x = inv_edge_conv(x, idx, phi.fc1, phi.fc2, gate, code)
 
         pooled_inv = ad.tmax(x, axis=1)
         logits_inv = self.cls_inv(pooled_inv)

@@ -34,7 +34,7 @@ def vn_linear(v: Tensor, weight: Tensor) -> Tensor:
     return ad.matmul(v, weight)
 
 
-def _batch_rows(knn: np.ndarray, b: int, n: int) -> np.ndarray:
+def batch_rows(knn: np.ndarray, b: int, n: int) -> np.ndarray:
     """Per-cloud neighbour indices (B, N, K) as rows of the flattened
     (B * N) batch.  An index outside [0, N) would read another cloud's
     point, so it raises ValueError."""
@@ -53,7 +53,7 @@ def gather_neighbors(features: Tensor, knn: np.ndarray) -> Tensor:
     """
     b, n = features.shape[0], features.shape[1]
     flat = ad.reshape(features, (b * n,) + features.shape[2:])
-    return ad.gather(flat, _batch_rows(knn, b, n))
+    return ad.gather(flat, batch_rows(knn, b, n))
 
 
 def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
@@ -85,7 +85,7 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
     n_nbr = knn.shape[-1]
     if n_nbr == 0:
         raise ValueError("empty neighborhood: edge convolution needs k >= 1")
-    rows = _batch_rows(knn, b, n)
+    rows = batch_rows(knn, b, n)
     w_b = weight.data[c:]
     w_ab = weight.data[:c] - w_b
     w_dir = direction.data

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rotinv import autodiff as ad
 from rotinv.gradcheck import check_tensor_gradient, finite_difference_gradient
-from rotinv.network import inv_edge_conv
+from rotinv.network import inv_edge_conv, rpr_code
 from rotinv.vecneuron import gather_neighbors, vn_edge_conv
 
 
@@ -233,6 +233,24 @@ PRIMITIVE_CASES = [
         SimpleNamespace(weight=t[:, 2:], bias=t[2, :3]),
         SimpleNamespace(weight=ad.transpose(t[1:3, 2:], (1, 0)), bias=t[0, 3:]))
         * ad.Tensor(CONST_453[0, :2, :2].reshape(1, 2, 2)))),
+    # the same convolution on the neighbour index, gated by the pose gate on
+    # a per-edge code and on the edges' own feature difference (code None),
+    # with the code and the gate's four parameters functions of t too
+    *[(name, lambda t, code=code: ad.tsum(inv_edge_conv(
+        ad.reshape(t[0, :4], (1, 2, 2)), KNN_ONE_CLOUD,
+        SimpleNamespace(weight=t[:, 2:], bias=t[2, :3]),
+        SimpleNamespace(weight=ad.transpose(t[1:3, 2:], (1, 0)), bias=t[0, 3:]),
+        SimpleNamespace(fc1=SimpleNamespace(weight=t[2:4, :2], bias=t[3, 2:4]),
+                        fc2=SimpleNamespace(weight=t[:2, 1:3], bias=t[1, 3:] + 1.0)),
+        ad.reshape(t[1:, 1:] * t[1:, 1:], (1, 2, 3, 2)) if code else None)
+        * ad.Tensor(CONST_453[0, :2, :2].reshape(1, 2, 2))))
+      for name, code in (("gated_inv_edge_conv", True),
+                         ("gated_inv_edge_conv_invariant", False))],
+    # U^T (v_j - v_r) with the frame matrix and the features functions of t
+    ("rpr_code", lambda t: ad.tsum(rpr_code(
+        SimpleNamespace(matrix=ad.reshape(ad.reshape(t, (20,))[:18], (1, 2, 3, 3))),
+        ad.reshape(t[1:3, :3] * t[1:3, :3], (1, 2, 3, 1)), KNN_ONE_CLOUD)
+        * ad.Tensor(CONST_453.reshape(-1)[:18].reshape(1, 2, 3, 3, 1)))),
 ]
 
 

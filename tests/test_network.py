@@ -1,16 +1,21 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from rotinv import autodiff as ad
 from rotinv import frames as fr
+from rotinv import network
+from rotinv.checks import ACCEPTANCE_MODEL
 from rotinv.geometry import knn_graph, sample_rotation_so3
 from rotinv.gradcheck import check_tensor_gradient
 from rotinv.network import (COMPONENT_ABLATION_ROWS, FRAME_ABLATION_ROWS,
                             NAMED_CONFIGS, POSE_ABLATION_ROWS, FusionModel,
-                            ModelConfig, coordinate_pose_code, cross_entropy,
-                            fuse_attention, handcrafted_ppf_code,
+                            Mlp, ModelConfig, cross_entropy, fuse_attention,
+                            handcrafted_ppf_code, inv_edge_conv,
                             mean_knn_consistency, named_config, rpr_code,
                             total_loss)
+from rotinv.vecneuron import gather_neighbors
 
 from conftest import TINY_MODEL
 
@@ -20,6 +25,30 @@ def centered_cloud_batch(rng, b=2, n=20):
     pts -= pts.mean(axis=1, keepdims=True)
     pts /= np.linalg.norm(pts, axis=2).max(axis=1)[:, None, None]
     return pts
+
+
+def composed_rpr_code(frame, equivariant, knn):
+    """Reference form of rpr_code, op by op: gather, difference and the
+    transposed frame's product."""
+    b, n = equivariant.shape[0], equivariant.shape[1]
+    vj = gather_neighbors(equivariant, knn)
+    diff = vj - ad.reshape(equivariant, (b, n, 1) + equivariant.shape[2:])
+    ut = ad.swap_last_axes(frame.matrix)
+    return ad.matmul(ad.reshape(ut, (b, n, 1, 3, 3)), diff)
+
+
+def composed_gated_edge_conv(x, neighbors, fc1, fc2, gate=None, code=None):
+    """Reference form of inv_edge_conv on a neighbour index: gather_neighbors,
+    the gate Mlp on the code (or on x_j - x_i without one), the gating mul,
+    and the ungated node on the per-edge result."""
+    if isinstance(neighbors, ad.Tensor):
+        return inv_edge_conv(x, neighbors, fc1, fc2)
+    xj = gather_neighbors(x, neighbors)
+    if gate is not None:
+        if code is None:
+            code = xj - ad.reshape(x, x.shape[:2] + (1, x.shape[-1]))
+        xj = gate(ad.reshape(code, code.shape[:3] + (-1,))) * xj
+    return inv_edge_conv(x, xj, fc1, fc2)
 
 
 class TestModelConfig:
@@ -102,10 +131,64 @@ class TestPoseCodes:
                                    atol=1e-9)
 
     def test_coordinate_code_zero_for_coincident_points(self, rng):
+        # the coordinate source is rpr_code of the points as one channel
         pts, knn, _, frame = self.make_inputs(rng)
         same = np.broadcast_to(pts[:, :1], pts.shape).copy()
-        code = coordinate_pose_code(frame, ad.Tensor(same), knn)
+        code = rpr_code(frame, ad.Tensor(same.reshape(1, 12, 3, 1)), knn)
+        assert code.shape == (1, 12, 4, 3, 1)
         np.testing.assert_allclose(code.data, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("channels", (1, 3))
+    def test_matches_composed_form(self, rng, channels):
+        # value and gradients bit-identical to the op-by-op gather,
+        # difference and frame product.  The frame and the features come
+        # from one leaf that reaches the frame twice, so the leaf sums three
+        # gradient terms, in an order set by which parent backward's
+        # depth-first walk visits first.
+        _, knn, veq, frame = self.make_inputs(rng, c=channels)
+        knn[0, 2] = 5                               # repeated neighbours
+        weights = ad.Tensor(rng.standard_normal((1, 12, 4, 3, channels)))
+        runs = []
+        for fn in (rpr_code, composed_rpr_code):
+            leaf = ad.Tensor(frame.data, requires_grad=True)
+            matrix = leaf + leaf * 2.0
+            v = leaf[..., :channels] * ad.Tensor(veq)
+            out = fn(fr.Frame(matrix, "lcrf"), v, knn)
+            ad.backward(ad.tsum(out * weights))
+            runs.append((out, leaf.grad))
+        (out, grad), (ref, ref_grad) = runs
+        assert out._op == "rpr_code" and len(out._parents) == 2
+        assert np.array_equal(out.data, ref.data)
+        assert np.array_equal(grad, ref_grad)
+
+    def test_constant_inputs_record_nothing(self, rng):
+        _, knn, veq, frame = self.make_inputs(rng)
+        code = rpr_code(frame, ad.Tensor(veq), knn)
+        assert not code.requires_grad and code._parents == ()
+        with ad.no_grad():
+            plain = rpr_code(fr.Frame(ad.Tensor(frame.data, requires_grad=True),
+                                      "lcrf"),
+                             ad.Tensor(veq, requires_grad=True), knn)
+        assert not plain.requires_grad and plain._parents == ()
+        assert np.array_equal(plain.data, code.data)
+
+    def test_out_of_range_neighbour_rejected(self, rng):
+        _, knn, veq, frame = self.make_inputs(rng)
+        for bad in (12, -1):
+            knn[0, 0, 0] = bad
+            with pytest.raises(ValueError):
+                rpr_code(frame, ad.Tensor(veq), knn)
+
+    def test_gradient(self, rng):
+        _, knn, veq, frame = self.make_inputs(rng, c=2)
+        weights = ad.Tensor(rng.standard_normal((1, 12, 4, 3, 2)))
+        err = check_tensor_gradient(
+            lambda t: ad.tsum(rpr_code(frame, t, knn) * weights), veq)
+        assert err <= 1e-4
+        err = check_tensor_gradient(
+            lambda t: ad.tsum(rpr_code(fr.Frame(t, "lcrf"), ad.Tensor(veq), knn)
+                              * weights), frame.data)
+        assert err <= 1e-4
 
     def test_ppf_code_rotation_invariant(self, rng):
         pts, knn, _, _ = self.make_inputs(rng)
@@ -357,21 +440,203 @@ def test_mean_knn_consistency_identity_frames():
     assert mean_knn_consistency(frames, knn, 2) == pytest.approx(1.0)
 
 
-def test_edge_convolutions_build_no_per_edge_copies(rng):
-    # Each edge convolution is one tape node over its per-point output: one
-    # vn_edge_conv per encoder layer and one inv_edge_conv per invariant
-    # layer, so no per-edge tensor of any vector-neuron or invariant width is
-    # recorded.  The gate MLP's hidden relu is the only per-edge relu left,
-    # no tensor with the K neighbour axis goes through concat, broadcast_to,
-    # add or max, and the frame axes' stack is the only concat left.
-    cfg = named_config("full", **TINY_MODEL)
-    model = FusionModel(cfg)
-    b, n = 2, 20
-    out = model.forward(centered_cloud_batch(rng, b=b, n=n))
+# per-edge code shapes of the pose sources; None gates by x_j - x_i
+CODE_SHAPES = {"equivariant": (3, 2), "coordinate": (3, 1),
+               "handcrafted-ppf": (4,), "invariant": None}
+
+
+class TestGatedEdgeConv:
+    """inv_edge_conv on a neighbour index, with and without the pose gate,
+    against gather_neighbors -> Mlp -> mul -> ungated inv_edge_conv: the same
+    bits in the value and in every gradient."""
+
+    def inputs(self, rng, source, b=2, n=9, k=4, c=5, hidden=6, c_out=7,
+               gate_hidden=3):
+        x = rng.standard_normal((b, n, c))
+        knn = rng.integers(0, n, (b, n, k))
+        knn[0, 1] = 3                             # one neighbour K times
+        knn[-1, :, 0] = 2                         # everyone's first neighbour
+        shape = CODE_SHAPES[source]
+        code = None if shape is None else rng.standard_normal((b, n, k) + shape)
+        gate_in = c if shape is None else int(np.prod(shape))
+        params = [rng.standard_normal(s) for s in
+                  ((2 * c, hidden), (hidden,), (hidden, c_out), (c_out,),
+                   (gate_in, gate_hidden), (gate_hidden,), (gate_hidden, c),
+                   (c,))]
+        return dict(x=x, knn=knn, code=code, params=params,
+                    weights=rng.standard_normal((b, n, c_out)),
+                    code_grad=source != "handcrafted-ppf")
+
+    @staticmethod
+    def layers(params, gated=True):
+        """Fresh parameters holding `params`: fc1, fc2 and the gate Mlp."""
+        fc1, fc2 = (SimpleNamespace(weight=ad.Parameter(f"fc{i}.weight", w),
+                                    bias=ad.Parameter(f"fc{i}.bias", bias))
+                    for i, (w, bias) in enumerate((params[:2], params[2:4])))
+        if not gated:
+            return fc1, fc2, None
+        gate = Mlp("gate", params[4].shape[0], params[4].shape[1],
+                   params[6].shape[1], seed=0)
+        for p, value in zip(gate.parameters(), params[4:]):
+            p.data = value
+        return fc1, fc2, gate
+
+    def run(self, fn, case, gated=True, x_grad=True):
+        x = ad.Tensor(case["x"], requires_grad=x_grad)
+        code = (None if case["code"] is None or not gated
+                else ad.Tensor(case["code"], requires_grad=case["code_grad"]))
+        fc1, fc2, gate = self.layers(case["params"], gated)
+        out = fn(x, case["knn"], fc1, fc2, gate, code)
+        ad.backward(ad.tsum(out * ad.Tensor(case["weights"])))
+        params = [fc1.weight, fc1.bias, fc2.weight, fc2.bias]
+        params += [] if gate is None else gate.parameters()
+        return out, [x.grad, None if code is None else code.grad] + [
+            p.grad for p in params]
+
+    def assert_bit_identical(self, case, gated=True, x_grad=True):
+        out, grads = self.run(inv_edge_conv, case, gated, x_grad)
+        ref, ref_grads = self.run(composed_gated_edge_conv, case, gated, x_grad)
+        assert out._op == "inv_edge_conv"
+        assert np.array_equal(out.data, ref.data)
+        assert len(grads) == len(ref_grads)
+        for i, (g, r) in enumerate(zip(grads, ref_grads)):
+            assert (g is None) == (r is None), i
+            assert g is None or np.array_equal(g, r), i
+        return out, grads
+
+    @pytest.mark.parametrize("source", sorted(CODE_SHAPES))
+    def test_matches_composed_form(self, rng, source):
+        case = self.inputs(rng, source)
+        out, grads = self.assert_bit_identical(case)
+        # parents: the code (when it carries a gradient), x, the layer's
+        # four parameters and the gate's four
+        with_code = case["code"] is not None and case["code_grad"]
+        assert len(out._parents) == 9 + with_code
+        assert with_code == (grads[1] is not None)
+        assert all(g is not None and g.any() for g in grads[2:])
+
+    def test_ungated_index(self, rng):
+        # the phi layers of rows without a pose gate
+        self.assert_bit_identical(self.inputs(rng, "invariant"), gated=False)
+
+    def test_every_edge_reads_one_point(self, rng):
+        # all B*N*K edges gather point 0 of their cloud, so the scatter sums
+        # every edge's gradient into one row
+        case = self.inputs(rng, "equivariant")
+        case["knn"][:] = 0
+        self.assert_bit_identical(case)
+
+    @pytest.mark.parametrize("source", ("coordinate", "invariant"))
+    def test_single_neighbour(self, rng, source):
+        self.assert_bit_identical(self.inputs(rng, source, k=1))
+
+    def test_constant_features_reach_parameters_only(self, rng):
+        _, grads = self.assert_bit_identical(self.inputs(rng, "equivariant"),
+                                             x_grad=False)
+        assert grads[0] is None
+
+    @pytest.mark.parametrize("source", ("equivariant", "invariant"))
+    def test_no_grad_records_no_parent(self, rng, source):
+        case = self.inputs(rng, source)
+        fc1, fc2, gate = self.layers(case["params"])
+        code = None if case["code"] is None else ad.Tensor(case["code"], True)
+        recorded = inv_edge_conv(ad.Tensor(case["x"], True), case["knn"],
+                                 fc1, fc2, gate, code)
+        with ad.no_grad():
+            plain = inv_edge_conv(ad.Tensor(case["x"], True), case["knn"],
+                                  fc1, fc2, gate, code)
+        assert recorded.requires_grad and recorded._parents
+        assert not plain.requires_grad and plain._parents == () and plain._vjps == ()
+        assert np.array_equal(plain.data, recorded.data)
+
+    @pytest.mark.parametrize("bad", (9, -1))
+    def test_out_of_range_neighbour_rejected(self, rng, bad):
+        # as gather_neighbors: an index outside [0, N) would read another
+        # cloud's point, or wrap around
+        case = self.inputs(rng, "coordinate")
+        case["knn"][1, 3, 2] = bad
+        fc1, fc2, gate = self.layers(case["params"])
+        for fn in (inv_edge_conv, composed_gated_edge_conv):
+            with pytest.raises(ValueError):
+                fn(ad.Tensor(case["x"]), case["knn"], fc1, fc2, gate,
+                   ad.Tensor(case["code"]))
+
+    @pytest.mark.parametrize("source", ("coordinate", "invariant"))
+    def test_gradient(self, rng, source):
+        case = self.inputs(rng, source, b=1, n=5, k=3, c=2, hidden=4, c_out=3,
+                           gate_hidden=3)
+        weights = ad.Tensor(case["weights"])
+        names = ["x", "code", "w1", "b1", "w2", "b2", "gw1", "gb1", "gw2", "gb2"]
+        values = dict(zip(names, [case["x"], case["code"]] + case["params"]))
+
+        def conv(name, t):
+            given = {key: (t if key == name else None if v is None
+                           else ad.Tensor(v)) for key, v in values.items()}
+            fc1 = SimpleNamespace(weight=given["w1"], bias=given["b1"])
+            fc2 = SimpleNamespace(weight=given["w2"], bias=given["b2"])
+            gate = SimpleNamespace(
+                fc1=SimpleNamespace(weight=given["gw1"], bias=given["gb1"]),
+                fc2=SimpleNamespace(weight=given["gw2"], bias=given["gb2"]))
+            return inv_edge_conv(given["x"], case["knn"], fc1, fc2, gate,
+                                 given["code"])
+
+        for name, value in values.items():
+            if value is None:
+                continue
+            err = check_tensor_gradient(
+                lambda t: ad.tsum(conv(name, t) * weights), value)
+            assert err <= 1e-4, name
+
+
+def model_outputs(model, pts, labels):
+    """Logits of every head, no_grad logits, loss and parameter gradients."""
+    cfg = model.config
+    out = model.forward(pts)
     loss, _ = total_loss(out.logits_inv, out.logits_eqv, out.logits_fused,
-                         np.array([0, 1]), cfg.lambda_orth, cfg.lambda_consist,
-                         pair=out.pair, knn=out.knn_coord)
-    seen, stack, nodes = set(), [loss], []
+                         labels, cfg.lambda_orth, cfg.lambda_consist,
+                         pair=out.pair, knn=out.knn_coord,
+                         orth_squared=cfg.orth_squared)
+    ad.zero_grad(model.parameters())
+    store = ad.backward(loss, model.parameters())
+    with ad.no_grad():
+        plain = model.forward(pts).prediction_logits.data
+    heads = [t.data for t in (out.logits_inv, out.logits_eqv, out.logits_fused)
+             if t is not None]
+    return heads + [plain, loss.data], store
+
+
+@pytest.mark.parametrize("row", ("full", "fusion-rpr-coordinate",
+                                 "pose-handcrafted-ppf", "pose-invariant",
+                                 "baseline", "identity-frames"))
+def test_fused_model_matches_composed_model(rng, monkeypatch, row):
+    # The trained checks replay desk training, which splits on rounding-level
+    # changes: the fused edge convolutions and pose code must give the same
+    # bits as the op-by-op graph, at the initial gates (last weight zero,
+    # no code gradient) and at perturbed ones.
+    model = FusionModel(named_config(row, **ACCEPTANCE_MODEL))
+    pts = rng.standard_normal((8, 48, 3))
+    labels = rng.integers(0, model.config.n_classes, 8)
+    for perturbed in (False, True):
+        if perturbed:
+            for p in model.parameters():
+                p.data = p.data + 0.3 * rng.standard_normal(p.shape)
+        fused, fused_grads = model_outputs(model, pts, labels)
+        with monkeypatch.context() as patched:
+            patched.setattr(network, "inv_edge_conv", composed_gated_edge_conv)
+            patched.setattr(network, "rpr_code", composed_rpr_code)
+            ref, ref_grads = model_outputs(model, pts, labels)
+        assert len(fused) == len(ref)
+        for a, r in zip(fused, ref):
+            assert np.array_equal(a, r), (row, perturbed)
+        assert fused_grads.keys() == ref_grads.keys()
+        for name in fused_grads:
+            assert np.array_equal(fused_grads[name], ref_grads[name]), (
+                row, perturbed, name)
+
+
+def tape_nodes(*roots):
+    """(op, shape) of every tensor reachable from `roots`."""
+    seen, stack, nodes = set(), list(roots), []
     while stack:
         node = stack.pop()
         if id(node) in seen:
@@ -379,15 +644,40 @@ def test_edge_convolutions_build_no_per_edge_copies(rng):
         seen.add(id(node))
         nodes.append((node._op, node.shape))
         stack.extend(node._parents)
-    per_edge = [c for c in nodes if c[1][:3] == (b, n, cfg.k)]
-    for op in ("concat", "broadcast_to", "add", "max"):
+    return nodes
+
+
+def test_edge_convolutions_build_no_per_edge_copies(rng):
+    # Each edge convolution is one tape node over its per-point output: one
+    # vn_edge_conv per encoder layer and one inv_edge_conv per invariant
+    # layer, which gathers, gates and drops its per-edge arrays itself, so no
+    # per-edge tensor of any vector-neuron or invariant width is recorded
+    # and no per-edge relu is left.  In the network's own graph the only
+    # per-edge nodes are the two relative-pose codes and psi's
+    # frame-projected neighbours; no tensor with the K neighbour axis goes
+    # through concat, broadcast_to, add or max anywhere on the tape, and the
+    # frame axes' stack is the only concat left.
+    cfg = named_config("full", **TINY_MODEL)
+    model = FusionModel(cfg)
+    b, n, k = 2, 20, cfg.k
+    out = model.forward(centered_cloud_batch(rng, b=b, n=n))
+    loss, _ = total_loss(out.logits_inv, out.logits_eqv, out.logits_fused,
+                         np.array([0, 1]), cfg.lambda_orth, cfg.lambda_consist,
+                         pair=out.pair, knn=out.knn_coord)
+    nodes = tape_nodes(loss)
+    per_edge = [c for c in nodes if c[1][:3] == (b, n, k)]
+    for op in ("concat", "broadcast_to", "add", "max", "relu"):
         assert [c for c in per_edge if c[0] == op] == [], op
     vn_widths, inv_widths = TINY_MODEL["vn_widths"], TINY_MODEL["inv_widths"]
-    assert [c for c in per_edge if c[1] in [(b, n, cfg.k, 3, w) for w in vn_widths]] == []
-    assert [c for c in per_edge if c[0] in ("relu", "matmul")
+    assert [c for c in per_edge if c[1] in [(b, n, k, 3, w) for w in vn_widths]] == []
+    assert [c for c in per_edge if c[0] in ("getitem", "mul", "matmul")
             and c[1][-1] in inv_widths] == []
-    assert [c[1] for c in per_edge if c[0] == "relu"] == [
-        (b, n, cfg.k, cfg.rpr_hidden)] * 2
+    network_edges = [c for c in tape_nodes(out.logits_inv, out.logits_eqv,
+                                           out.logits_fused)
+                     if c[1][:3] == (b, n, k)]
+    assert sorted(network_edges) == sorted(
+        [("rpr_code", (b, n, k, 3, cfg.rpr_channels))] * 2
+        + [("matmul", (b, n, k, 3, 1)), ("reshape", (b, n, k, 3))])
     assert sorted(c[1] for c in nodes if c[0] == "vn_edge_conv") == sorted(
         (b, n, 3, w) for w in vn_widths)
     assert sorted(c[1] for c in nodes if c[0] == "inv_edge_conv") == sorted(
