@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -28,13 +28,13 @@ from .vecneuron import EquivariantEncoder, gather_neighbors, vn_edge_conv
 
 @dataclass
 class CheckResult:
-    name: str
     passed: bool
     statistic: float
     threshold: float
     detail: str = ""
     seconds: float = 0.0
     extra: dict = field(default_factory=dict)
+    name: str = ""            # set by `_check` from the check's one name
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -57,6 +57,22 @@ ACCEPTANCE_TRAIN = TrainConfig(epochs=20, batch_size=8, lr=0.01)
 ACCEPTANCE_SEEDS = (0, 1, 2)
 
 
+# The property suite in run order, keyed by the one name each check prints
+# and `rotinv check --only` selects it by.
+ALL_CHECKS: dict[str, Callable[..., CheckResult]] = {}
+
+
+def _check(name: str):
+    """Register a check under `name` and stamp its results with it."""
+    def register(fn: Callable[..., CheckResult]) -> Callable[..., CheckResult]:
+        @functools.wraps(fn)
+        def named(*args, **kwargs) -> CheckResult:
+            return replace(fn(*args, **kwargs), name=name)
+        ALL_CHECKS[name] = named
+        return named
+    return register
+
+
 def _random_valid_pairs(n: int, rng: np.random.Generator) -> fr.ProjectedPair:
     v = rng.standard_normal((2, n, 3))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
@@ -65,6 +81,7 @@ def _random_valid_pairs(n: int, rng: np.random.Generator) -> fr.ProjectedPair:
     return fr.ProjectedPair.from_arrays(v[0][good], v[1][good])
 
 
+@_check("frame-orthogonality")
 def check_frame_orthogonality(n: int = 100_000, seed: int = 0) -> CheckResult:
     """Bisector frames have |u1 . u2| at machine-precision zero."""
     started = time.time()
@@ -72,10 +89,11 @@ def check_frame_orthogonality(n: int = 100_000, seed: int = 0) -> CheckResult:
     frame, _ = fr.lcrf_frame(pair)
     dots = (frame.data[..., :, 0] * frame.data[..., :, 1]).sum(-1)
     worst = float(np.abs(dots).max())
-    return CheckResult("frame-orthogonality", worst <= 1e-9, worst, 1e-9,
+    return CheckResult(worst <= 1e-9, worst, 1e-9,
                        f"{pair.v1.shape[0]} pairs", time.time() - started)
 
 
+@_check("equivariance")
 def check_equivariance(n_pairs: int = 100, seed: int = 0) -> CheckResult:
     """The encoder co-rotates with its input and frames rotate column-wise."""
     started = time.time()
@@ -99,10 +117,11 @@ def check_equivariance(n_pairs: int = 100, seed: int = 0) -> CheckResult:
         expect_frame = np.einsum("ij,njk->nik", rot, frame.data)
         defect = np.abs(frame_rot.data - expect_frame).max()
         worst = max(worst, float(defect))
-    return CheckResult("equivariance", worst <= 1e-9, worst, 1e-9,
+    return CheckResult(worst <= 1e-9, worst, 1e-9,
                        f"{n_pairs} cloud/rotation pairs", time.time() - started)
 
 
+@_check("end-to-end-invariance")
 def check_end_to_end_invariance(n_rotations: int = 50, seed: int = 0) -> CheckResult:
     """Full-model logits move <= 1e-6 relative under rotation and the
     predicted class never changes."""
@@ -127,11 +146,12 @@ def check_end_to_end_invariance(n_rotations: int = 50, seed: int = 0) -> CheckRe
                   and bool((logits.argmax(axis=-1) == ref_classes).all()))
     worst = float(np.max(defects, initial=0.0))
     passed = worst <= 1e-6 and stable
-    return CheckResult("end-to-end-invariance", passed, worst, 1e-6,
+    return CheckResult(passed, worst, 1e-6,
                        f"{n_rotations} rotations, classes stable={stable}",
                        time.time() - started)
 
 
+@_check("consistency-identity")
 def check_consistency_identity(n: int = 10_000, seed: int = 0) -> CheckResult:
     """After orthogonalizing each pair, the axis-1 frame consistency equals
     the cross inner product of the second projected vectors."""
@@ -155,19 +175,21 @@ def check_consistency_identity(n: int = 10_000, seed: int = 0) -> CheckResult:
     lhs = fr.consistency(frame_a, frame_b, 1)
     rhs = (a.v2.data * b.v2.data).sum(-1)
     worst = float(np.abs(lhs - rhs).max())
-    return CheckResult("consistency-identity", worst <= 1e-9, worst, 1e-9,
+    return CheckResult(worst <= 1e-9, worst, 1e-9,
                        f"{m} orthogonalized pairs", time.time() - started)
 
 
+@_check("bisector-identities")
 def check_bisector_identities(n: int = 10_000, seed: int = 0) -> CheckResult:
     """Line-by-line residuals of the orthogonality derivation are ~0."""
     started = time.time()
     pair = _random_valid_pairs(n, np.random.default_rng(seed))
     worst = fr.max_bisector_residual(pair)
-    return CheckResult("bisector-identities", worst <= 1e-9, worst, 1e-9,
+    return CheckResult(worst <= 1e-9, worst, 1e-9,
                        f"{pair.v1.shape[0]} pairs", time.time() - started)
 
 
+@_check("gradient-suite")
 def check_gradient_suite(seed: int = 0) -> CheckResult:
     """Frame losses, layer ops, and the full training loss all match central
     finite differences."""
@@ -304,10 +326,11 @@ def check_gradient_suite(seed: int = 0) -> CheckResult:
         worst = max(worst, row_worst)
         details.append(f"{row}={row_worst:.2g}")
 
-    return CheckResult("gradient-suite", worst <= tol, worst, tol,
+    return CheckResult(worst <= tol, worst, tol,
                        "; ".join(details), time.time() - started)
 
 
+@_check("knn-bruteforce")
 def check_knn_bruteforce(n_clouds: int = 200, seed: int = 0) -> CheckResult:
     """knn_graph agrees exactly with a per-row brute-force oracle, ties
     broken toward the lower index."""
@@ -336,7 +359,7 @@ def check_knn_bruteforce(n_clouds: int = 200, seed: int = 0) -> CheckResult:
             total += 1
             if list(graph[i]) != oracle:
                 mismatches += 1
-    return CheckResult("knn-bruteforce", mismatches == 0, float(mismatches), 0.0,
+    return CheckResult(mismatches == 0, float(mismatches), 0.0,
                        f"{total} rows over {n_clouds} clouds", time.time() - started)
 
 
@@ -365,6 +388,7 @@ def _trained(cfg: ModelConfig, seed: int) -> tuple[RunReport, FusionModel]:
     return report, models[0]
 
 
+@_check("protocol-gap-pattern")
 def check_protocol_gap(seed: int = 0) -> CheckResult:
     """The invariant model scores the same under z and arbitrary test
     rotations while the identity-frame baseline collapses."""
@@ -391,13 +415,14 @@ def check_protocol_gap(seed: int = 0) -> CheckResult:
     gap = float(np.mean(gaps_full))
     drop = float(np.mean(drops_baseline))
     passed = gap <= 0.03 and drop >= 0.20
-    return CheckResult("protocol-gap-pattern", passed, gap, 0.03,
+    return CheckResult(passed, gap, 0.03,
                        f"baseline mean drop={drop:.2f} (needs >= 0.20); "
                        + "; ".join(details),
                        time.time() - started,
                        extra={"full_gap": gap, "baseline_drop": drop})
 
 
+@_check("component-ablation-pattern")
 def check_component_ablation(seed: int = 0) -> CheckResult:
     """The full model at least matches the fusion-only row, up to one
     standard deviation of the paired differences."""
@@ -414,11 +439,12 @@ def check_component_ablation(seed: int = 0) -> CheckResult:
     std_diff = float(np.std(diffs))
     passed = mean_diff >= -std_diff
     flag = "" if mean_diff >= 0 else " [flag: full below fusion-only]"
-    return CheckResult("component-ablation-pattern", passed, mean_diff, -std_diff,
+    return CheckResult(passed, mean_diff, -std_diff,
                        "; ".join(details) + flag, time.time() - started,
                        extra={"mean_diff": mean_diff, "std_diff": std_diff})
 
 
+@_check("consistency-training-effect")
 def check_consistency_training_effect(seed: int = 0) -> CheckResult:
     """Training with the consistency loss raises the mean axis-2 frame
     consistency of the Gram-Schmidt configuration."""
@@ -435,43 +461,31 @@ def check_consistency_training_effect(seed: int = 0) -> CheckResult:
     mean_with = float(np.mean(with_loss))
     mean_without = float(np.mean(without_loss))
     passed = mean_with > mean_without
-    return CheckResult("consistency-training-effect", passed,
+    return CheckResult(passed,
                        mean_with - mean_without, 0.0,
                        f"axis-2 consistency with loss={mean_with:.3f}, "
                        f"without={mean_without:.3f}", time.time() - started,
                        extra={"with": with_loss, "without": without_loss})
 
 
-ALL_CHECKS: list[Callable[..., CheckResult]] = [
-    check_frame_orthogonality,
-    check_equivariance,
-    check_end_to_end_invariance,
-    check_consistency_identity,
-    check_bisector_identities,
-    check_gradient_suite,
-    check_knn_bruteforce,
-    check_protocol_gap,
-    check_component_ablation,
-    check_consistency_training_effect,
-]
-
-
 def run_all(names: Optional[list[str]] = None,
             printer: Callable[[str], None] = print) -> list[CheckResult]:
-    """Run the property suite, printing one pass/fail line per check."""
-    wanted = None if names is None else set(names)
+    """Run the property suite, or the checks `names` selects, printing one
+    pass/fail line per check.  An unknown name raises ValueError."""
+    unknown = sorted(set(names or ()) - ALL_CHECKS.keys())
+    if unknown:
+        raise ValueError(f"unknown check(s) {unknown}; known: {list(ALL_CHECKS)}")
     results = []
-    for fn in ALL_CHECKS:
-        name = fn.__name__.removeprefix("check_").replace("_", "-")
-        if wanted is not None and name not in wanted:
+    for name, fn in ALL_CHECKS.items():
+        if names is not None and name not in names:
             continue
         started = time.time()
         try:
             result = fn()
         except Exception as exc:  # a crash is a failed check, not a crashed suite
-            result = CheckResult(name, False, float("nan"), float("nan"),
+            result = CheckResult(False, float("nan"), float("nan"),
                                  f"raised {type(exc).__name__}: {exc}",
-                                 time.time() - started)
+                                 time.time() - started, name=name)
         results.append(result)
         printer(result.line())
     return results

@@ -247,7 +247,10 @@ def cmd_export_frames(args) -> int:
 
 
 def cmd_check(args) -> int:
-    results = checks_module.run_all(names=args.only or None)
+    results = checks_module.run_all(names=args.only)
+    if not results:
+        print("FAILED: no check selected", file=sys.stderr)
+        return 1
     out = _out_dir(args)
     rows = [{"name": r.name, "passed": r.passed, "statistic": r.statistic,
              "threshold": r.threshold, "seconds": round(r.seconds, 2)}
@@ -322,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the property suite (nonzero exit on failure)")
     p.add_argument("--out", help="output directory (default: runs/)")
-    p.add_argument("--only", nargs="*", help="run only the named checks")
+    p.add_argument("--only", nargs="+", choices=list(checks_module.ALL_CHECKS),
+                   metavar="NAME", help="run only the named checks: "
+                   + ", ".join(checks_module.ALL_CHECKS))
     p.set_defaults(fn=cmd_check)
 
     return parser

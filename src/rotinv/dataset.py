@@ -158,16 +158,3 @@ def handcrafted_descriptor(cloud: PointCloud) -> np.ndarray:
     np.fill_diagonal(d2, np.inf)
     nn = np.sqrt(d2.min(axis=1))
     return np.concatenate([quantiles, eigs, [radii.std(), nn.mean(), nn.std()]])
-
-
-def nearest_neighbor_accuracy(dataset: SyntheticDataset) -> float:
-    """1-NN test accuracy on handcrafted descriptors; the separability bar
-    a learned model has to clear."""
-    train = np.stack([handcrafted_descriptor(c) for c in dataset.train])
-    test = np.stack([handcrafted_descriptor(c) for c in dataset.test])
-    scale = train.std(axis=0) + 1e-9
-    train = train / scale
-    test = test / scale
-    d2 = ((test[:, None, :] - train[None, :, :]) ** 2).sum(-1)
-    pred = dataset.train_labels[np.argmin(d2, axis=1)]
-    return float((pred == dataset.test_labels).mean())

@@ -79,9 +79,6 @@ class Rotation:
     def inverse(self) -> "Rotation":
         return Rotation(self.matrix.T)
 
-    def compose(self, other: "Rotation") -> "Rotation":
-        return Rotation(self.matrix @ other.matrix)
-
 
 def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of a unit quaternion (w, x, y, z)."""

@@ -277,13 +277,6 @@ def run_ablation_grid(row_names: list[str], protocol: Protocol,
     return reports
 
 
-def accuracy_gap(report_a: RunReport, report_b: RunReport) -> float:
-    """|accuracy difference| between two runs; requires paired seeds."""
-    if report_a.seed != report_b.seed:
-        raise ValueError("accuracy gaps must be computed on paired seeds")
-    return abs(report_a.accuracy - report_b.accuracy)
-
-
 DEFAULT_NOISE_SIGMAS = (0.0, 0.01, 0.02, 0.03)
 DEFAULT_DROP_COUNTS = (0, 100, 200, 300)
 REFERENCE_CLOUD_SIZE = 1024  # dropout counts are quoted for this size

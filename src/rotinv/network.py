@@ -13,7 +13,7 @@ from . import frames as fr
 from .autodiff import Parameter, Tensor
 from .geometry import knn_graph, sample_rotation_so3
 from .vecneuron import (EquivariantEncoder, batch_rows, gather_neighbors,
-                        seeded_normal, vn_invariant_head)
+                        over_clouds, seeded_normal, vn_invariant_head)
 
 FRAME_KINDS = ("identity", "handcrafted", "gram-schmidt", "lcrf")
 RPR_SOURCES = ("off", "coordinate", "handcrafted-ppf", "equivariant", "invariant")
@@ -193,6 +193,12 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
     hidden gradient over K for the per-point centre product; the gradient
     of gathered neighbours is scattered back to rows (`ad.scatter_rows`).
     Each per-edge array is dropped as soon as it is dead.
+
+    The forward runs the gather, gate, hidden layer, fc2 and max
+    `over_clouds`: one cloud at a time under `no_grad`, so each per-edge
+    array stays in cache, and the whole batch when recorded, as backward
+    needs it.  Every product is a stack of per-edge rows, so the blocked
+    forward is bit-identical to the recorded one at every shape.
     """
     b, n, c = x.shape
     w1, b1 = fc1.weight.data, fc1.bias.data
@@ -219,52 +225,74 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
         # gradients in the same order
         parents = {"code": code, **parents}
 
-    def neighbor_features() -> np.ndarray:
-        return flat_x[rows] if gathered else neighbors.data
+    # each helper takes the clouds `blk` and, in the blocked forward, the
+    # per-cloud buffers its per-edge results are written to
+    def neighbor_features(blk=slice(None), out=None) -> np.ndarray:
+        if not gathered:
+            return neighbors.data[blk]
+        # batch_rows has checked every index
+        return np.take(flat_x, rows[blk], axis=0, out=out, mode="clip")
 
-    def gate_terms(xj: np.ndarray):
+    def gate_terms(xj: np.ndarray, blk=slice(None), out=None):
         """The gate's per-edge input, hidden layer and output."""
+        out = out or {}
         if code is None:
-            inp = xj - x_i
+            inp = np.subtract(xj, x_i[blk], out=out.get("inp"))
         else:
-            inp = code.data.reshape(xj.shape[:3] + (-1,))
-        hid = inp @ gate.fc1.weight.data
+            inp = code.data[blk].reshape(xj.shape[:3] + (-1,))
+        hid = np.matmul(inp, gate.fc1.weight.data, out=out.get("hid"))
         hid += gate.fc1.bias.data
         np.maximum(hid, 0.0, out=hid)
-        out = hid @ gate.fc2.weight.data
-        out += gate.fc2.bias.data
-        return inp, hid, out
+        gated = np.matmul(hid, gate.fc2.weight.data, out=out.get("gate"))
+        gated += gate.fc2.bias.data
+        return inp, hid, gated
 
-    def hidden(edges: np.ndarray) -> np.ndarray:
-        center = x_i @ w_ab
+    def hidden(edges: np.ndarray, blk=slice(None), out=None) -> np.ndarray:
+        center = x_i[blk] @ w_ab
         center += b1
-        h = edges @ w_b
+        h = np.matmul(edges, w_b, out=out)
         h += center
         return np.maximum(h, 0.0, out=h)
 
-    edges = neighbor_features()
+    recorded = ad.recording(parents.values())
+    idx = None
+
+    def block(blk, out):
+        nonlocal idx
+        edges = neighbor_features(blk, out.get("xj"))
+        if gate is not None:
+            # only the gate's output outlives gate_terms, and it takes the
+            # product in place
+            gated = gate_terms(edges, blk, out)[2]
+            gated *= edges
+            edges = gated
+            del gated
+        h = hidden(edges, blk, out.get("h"))
+        del edges
+        y = np.matmul(h, w2, out=out.get("y"))
+        del h
+        top = y.max(axis=2)
+        if recorded:
+            # the one full-batch block.  The first neighbour that reaches
+            # the max, as np.argmax picks it: one compare per neighbour costs
+            # about half of an argmax over a middle axis, which copies the
+            # array (a NaN max matches none, so its gradient goes to
+            # neighbour 0)
+            first = np.zeros(top.shape, dtype=np.int64)
+            for k in reversed(range(y.shape[2])):
+                first[y[:, :, k] == top] = k
+            idx = first[:, :, None]
+        return top
+
+    edge = (1, n, neighbors.shape[2])        # one cloud's per-edge arrays
+    buffers = dict(h=edge + w_b.shape[1:], y=edge + w2.shape[1:])
+    if gathered:
+        buffers["xj"] = edge + (c,)
     if gate is not None:
-        # only the gate's output outlives gate_terms, and it takes the
-        # product in place
-        gated = gate_terms(edges)[2]
-        gated *= edges
-        edges = gated
-        del gated
-    h = hidden(edges)
-    del edges
-    y = h @ w2
-    del h
-    out = y.max(axis=2)
-    if ad.recording(parents.values()):
-        # the first neighbour that reaches the max, as np.argmax picks it:
-        # one compare per neighbour costs about half of an argmax over a
-        # middle axis, which copies the array (a NaN max matches none, so
-        # its gradient goes to neighbour 0)
-        first = np.zeros(out.shape, dtype=np.int64)
-        for k in reversed(range(y.shape[2])):
-            first[y[:, :, k] == out] = k
-        idx = first[:, :, None]
-    del y
+        buffers.update(hid=edge + gate.fc1.weight.shape[1:], gate=edge + (c,))
+        if code is None:
+            buffers["inp"] = edge + (c,)
+    out = over_clouds(parents.values(), b, block, **buffers)
     out += b2
 
     def gradients(g: np.ndarray) -> dict[str, np.ndarray]:
@@ -362,7 +390,10 @@ def rpr_code(frame: fr.Frame, equivariant: Tensor, knn: np.ndarray) -> Tensor:
     returns (B, N, K, 3, C).  The `coordinate` pose source is this code of
     the points as one vector channel, (B, N, 3, 1).  One tape node that
     keeps only its per-point parents; backward forms the differences again
-    with the same arithmetic and scatters their gradient back to rows.
+    with the same arithmetic and scatters their gradient back to rows.  The
+    forward forms the differences and projects them `over_clouds`, one
+    cloud at a time under `no_grad` (bit-identical: the projection is a
+    stack of 3 x 3 products).
     """
     b, n = equivariant.shape[0], equivariant.shape[1]
     rows = batch_rows(knn, b, n)
@@ -370,9 +401,9 @@ def rpr_code(frame: fr.Frame, equivariant: Tensor, knn: np.ndarray) -> Tensor:
     flat = v.reshape((b * n,) + v.shape[2:])
     ut = np.swapaxes(frame.matrix.data, -1, -2).reshape(b, n, 1, 3, 3)
 
-    def diff() -> np.ndarray:
-        d = flat[rows]
-        d -= v.reshape((b, n, 1) + v.shape[2:])
+    def diff(blk=slice(None)) -> np.ndarray:
+        d = flat[rows[blk]]
+        d -= v.reshape((b, n, 1) + v.shape[2:])[blk]
         return d
 
     def vjp_frame(g):
@@ -387,8 +418,9 @@ def rpr_code(frame: fr.Frame, equivariant: Tensor, knn: np.ndarray) -> Tensor:
 
     # frame first: backward's depth-first walk then reaches the features'
     # subgraph before the frame's, as through the op-by-op form
-    return ad._from_op(ut @ diff(), "rpr_code", (frame.matrix, equivariant),
-                       (vjp_frame, vjp_equivariant))
+    parents = (frame.matrix, equivariant)
+    out = over_clouds(parents, b, lambda blk, _: ut[blk] @ diff(blk))
+    return ad._from_op(out, "rpr_code", parents, (vjp_frame, vjp_equivariant))
 
 
 def handcrafted_ppf_code(points: np.ndarray, knn: np.ndarray) -> Tensor:

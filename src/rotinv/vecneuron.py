@@ -45,6 +45,30 @@ def batch_rows(knn: np.ndarray, b: int, n: int) -> np.ndarray:
     return idx + (np.arange(b) * n)[:, None, None]
 
 
+def over_clouds(parents, b: int, block, **buffers) -> np.ndarray:
+    """A per-edge node's forward, `block(blk, out)` for a slice `blk` of the
+    batch's clouds: called once on the whole batch when the graph records
+    the node, else once per cloud and joined along axis 0.
+
+    Per cloud, the (N, K, ...) per-edge arrays of a default-size model take
+    1-2 MiB and stay in cache; over a batch of 32 they take 32 MiB each and
+    go out to DRAM (cache blocking, Lam, Rothberg & Wolf, ASPLOS 1991).
+
+    `out` maps each name of `buffers` to an array of the one-cloud shape
+    given there, allocated once and written by every cloud in turn; on the
+    whole batch it is empty and each op allocates its own result, as the
+    node did before it was blocked.  Fresh per-edge arrays for each cloud,
+    made while a training step's graph is alive (the invariance probe),
+    fragmented the heap: default-train peak RSS spread from 241 to 276 MiB
+    against 244-251 MiB.  A recorded forward keeps one block, as its
+    backward rebuilds the per-edge arrays for the whole batch.
+    """
+    if b <= 1 or ad.recording(parents):
+        return block(slice(None), {})
+    out = {name: np.empty(shape) for name, shape in buffers.items()}
+    return np.concatenate([block(slice(i, i + 1), out) for i in range(b)])
+
+
 def gather_neighbors(features: Tensor, knn: np.ndarray) -> Tensor:
     """Pick per-point neighbor features.
 
@@ -80,6 +104,16 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
     product and scatters it to rows for the neighbour product
     (`ad.scatter_rows`); what is left are per-point products.  The
     difference channel cancels any constant offset added to all points.
+
+    The forward builds the per-edge terms `over_clouds`: one cloud at a
+    time under `no_grad`, the whole batch when recorded, and checks every
+    block's k_hat for non-finite values.  The direction product is one BLAS
+    gemv over the N * K * 3 rows of a block, which takes rows in groups of
+    4 and its last rows through another kernel.  So with N * K not a
+    multiple of 4 a one-cloud block regroups rows and can change their last
+    bit (at most 1.7e-16 of the output's largest value over 300 random
+    shapes); at every other shape the blocked forward is bit-identical to
+    the recorded one.
     """
     b, n, _, c = v.shape
     n_nbr = knn.shape[-1]
@@ -94,11 +128,13 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
     neighbor = (flat_v @ w_b).reshape(b * n, 3, cout)
     center = (flat_v @ w_ab).reshape(b, n, 1, 3, cout)
 
-    def edges():
-        """Per edge: m, k, |k|, max(|k|, eps), k_hat and min(m . k_hat, 0)."""
-        m = neighbor[rows]                                  # (B, N, K, 3, Cout)
-        m += center
-        k = (m.reshape(-1, cout) @ w_dir).reshape(b, n, n_nbr, 3, 1)
+    def edges(blk=slice(None), out=None):
+        """Per edge of the clouds in `blk`: m (written to `out` if given),
+        k, |k|, max(|k|, eps), k_hat and min(m . k_hat, 0)."""
+        # (B, N, K, 3, Cout); batch_rows has checked every index
+        m = np.take(neighbor, rows[blk], axis=0, out=out, mode="clip")
+        m += center[blk]
+        k = (m.reshape(-1, cout) @ w_dir).reshape(m.shape[:-1] + (1,))
         norm = np.sqrt((k * k).sum(axis=-2, keepdims=True))
         guarded = np.maximum(norm, ad.NORM_EPS)
         khat = k / guarded
@@ -106,11 +142,15 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
         trunc = np.minimum(np.einsum("...dc,...dx->...xc", m, khat), 0.0)
         return m, k, norm, guarded, khat, trunc
 
-    m, _, _, _, khat, trunc = edges()
-    if not ad._all_finite(khat):
-        raise ad.NumericError("vn_edge_conv")
-    out = m.sum(axis=2)
-    out -= np.einsum("bnkxc,bnkdx->bndc", trunc, khat)
+    def block(blk, out):
+        m, _, _, _, khat, trunc = edges(blk, out.get("m"))
+        if not ad._all_finite(khat):
+            raise ad.NumericError("vn_edge_conv")
+        total = m.sum(axis=2)
+        total -= np.einsum("bnkxc,bnkdx->bndc", trunc, khat)
+        return total
+
+    out = over_clouds((v, weight, direction), b, block, m=(1, n, n_nbr, 3, cout))
     out *= 1.0 / n_nbr
 
     memo: list = []

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import json
 import shlex
 from pathlib import Path
@@ -209,8 +210,53 @@ def test_check_subset_passes(tmp_path):
                  "consistency-identity", "bisector-identities",
                  "--out", str(out)]) == 0
     rows = list(csv.DictReader(open(out / "check_results.csv")))
-    assert len(rows) == 3
+    assert [r["name"] for r in rows] == ["frame-orthogonality",
+                                         "consistency-identity",
+                                         "bisector-identities"]
     assert all(r["passed"] == "True" for r in rows)
+
+
+def test_check_names_are_the_readme_names():
+    # the names `--only` selects by are the names the checks print, in the
+    # order README lists them
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = readme.split("Checks, in order:")[1].split(".\n")[0]
+    assert list(checks.ALL_CHECKS) == [w.strip() for w in listed.split(",")]
+
+
+@pytest.mark.parametrize("names", [["nonsense-name"], ["protocol-gap"],
+                                   ["frame-orthogonality", "equivalence"], []])
+def test_check_only_rejects_unknown_names(names, capsys):
+    # `protocol-gap` is the check function's name, not the check's; before,
+    # an unknown name selected nothing and the run reported a pass
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--only", *names])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    if names:
+        assert "protocol-gap-pattern" in message and "frame-orthogonality" in message
+
+
+def test_check_only_selects_by_printed_name(tmp_path, monkeypatch):
+    ran = []
+
+    def fake(name):
+        ran.append(name)
+        return checks.CheckResult(True, 0.0, 0.0, name=name)
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", {
+        name: functools.partial(fake, name) for name in checks.ALL_CHECKS})
+    assert main(["check", "--only", "protocol-gap-pattern",
+                 "--out", str(tmp_path)]) == 0
+    assert ran == ["protocol-gap-pattern"]
+    with pytest.raises(ValueError, match="protocol-gap-pattern"):
+        checks.run_all(["protocol-gap"])
+
+
+def test_check_selecting_nothing_fails(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(checks, "ALL_CHECKS", {})
+    assert main(["check", "--out", str(tmp_path)]) == 1
+    assert "passed" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag,value", [("--config", "x"), ("--seed", "1"),
@@ -226,8 +272,7 @@ def test_check_reports_failure_exit_code(tmp_path, monkeypatch):
     from rotinv import checks
 
     def failing():
-        return checks.CheckResult("frame-orthogonality", False, 1.0, 0.0)
+        return checks.CheckResult(False, 1.0, 0.0, name="frame-orthogonality")
 
-    failing.__name__ = "check_frame_orthogonality"
-    monkeypatch.setattr(checks, "ALL_CHECKS", [failing])
+    monkeypatch.setattr(checks, "ALL_CHECKS", {"frame-orthogonality": failing})
     assert main(["check", "--out", str(tmp_path)]) == 1

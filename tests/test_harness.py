@@ -9,15 +9,21 @@ import pytest
 from rotinv import checks
 from rotinv.dataset import DatasetSpec, generate_dataset
 from rotinv.harness import (DivergenceError, Protocol, RunReport, TrainConfig,
-                            accuracy_gap, evaluate, export_frame_field,
-                            invariance_defect, run_ablation_grid,
-                            run_experiment, run_perturbation_sweep,
-                            train_model)
+                            evaluate, export_frame_field, invariance_defect,
+                            run_ablation_grid, run_experiment,
+                            run_perturbation_sweep, train_model)
 from rotinv.network import FusionModel, named_config
 
 from conftest import TINY_MODEL
 
 QUICK_TRAIN = TrainConfig(epochs=2, batch_size=4, lr=0.01)
+
+
+def accuracy_gap(report_a: RunReport, report_b: RunReport) -> float:
+    """|accuracy difference| between two runs; requires paired seeds."""
+    if report_a.seed != report_b.seed:
+        raise ValueError("accuracy gaps must be computed on paired seeds")
+    return abs(report_a.accuracy - report_b.accuracy)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import contextlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,14 +11,15 @@ from rotinv.checks import ACCEPTANCE_MODEL
 from rotinv.geometry import knn_graph, sample_rotation_so3
 from rotinv.gradcheck import check_tensor_gradient
 from rotinv.network import (COMPONENT_ABLATION_ROWS, FRAME_ABLATION_ROWS,
-                            NAMED_CONFIGS, POSE_ABLATION_ROWS, FusionModel,
+                            GRAPH_METRICS, NAMED_CONFIGS, POSE_ABLATION_ROWS,
+                            FusionModel,
                             Mlp, ModelConfig, cross_entropy, fuse_attention,
                             handcrafted_ppf_code, inv_edge_conv,
                             mean_knn_consistency, named_config, rpr_code,
                             total_loss)
 from rotinv.vecneuron import gather_neighbors
 
-from conftest import TINY_MODEL
+from conftest import BLOCK_SHAPES, TINY_MODEL
 
 
 def centered_cloud_batch(rng, b=2, n=20):
@@ -171,6 +173,21 @@ class TestPoseCodes:
                              ad.Tensor(veq, requires_grad=True), knn)
         assert not plain.requires_grad and plain._parents == ()
         assert np.array_equal(plain.data, code.data)
+        # unrecorded, the node runs one cloud at a time: the recorded
+        # full-batch bits at every shape
+        for b, n, k in BLOCK_SHAPES:
+            matrix = np.linalg.qr(rng.standard_normal((b, n, 3, 3)))[0]
+            v = rng.standard_normal((b, n, 3, 2))
+            knn = rng.integers(0, n, (b, n, k))
+            runs = []
+            for recording in (True, False):
+                with contextlib.nullcontext() if recording else ad.no_grad():
+                    runs.append(rpr_code(
+                        fr.Frame(ad.Tensor(matrix, requires_grad=True), "lcrf"),
+                        ad.Tensor(v, requires_grad=True), knn))
+            recorded, plain = runs
+            assert recorded.requires_grad and not plain.requires_grad
+            assert np.array_equal(plain.data, recorded.data)
 
     def test_out_of_range_neighbour_rejected(self, rng):
         _, knn, veq, frame = self.make_inputs(rng)
@@ -535,19 +552,24 @@ class TestGatedEdgeConv:
                                              x_grad=False)
         assert grads[0] is None
 
-    @pytest.mark.parametrize("source", ("equivariant", "invariant"))
+    @pytest.mark.parametrize("source", ("equivariant", "invariant", "ungated"))
     def test_no_grad_records_no_parent(self, rng, source):
-        case = self.inputs(rng, source)
-        fc1, fc2, gate = self.layers(case["params"])
-        code = None if case["code"] is None else ad.Tensor(case["code"], True)
-        recorded = inv_edge_conv(ad.Tensor(case["x"], True), case["knn"],
-                                 fc1, fc2, gate, code)
-        with ad.no_grad():
-            plain = inv_edge_conv(ad.Tensor(case["x"], True), case["knn"],
-                                  fc1, fc2, gate, code)
-        assert recorded.requires_grad and recorded._parents
-        assert not plain.requires_grad and plain._parents == () and plain._vjps == ()
-        assert np.array_equal(plain.data, recorded.data)
+        # the unrecorded forward runs one cloud at a time and gives the
+        # recorded full-batch bits at every shape
+        gated = source != "ungated"
+        for b, n, k in BLOCK_SHAPES:
+            case = self.inputs(rng, source if gated else "invariant", b=b, n=n, k=k)
+            fc1, fc2, gate = self.layers(case["params"], gated)
+            code = (None if case["code"] is None or not gated
+                    else ad.Tensor(case["code"], True))
+            recorded = inv_edge_conv(ad.Tensor(case["x"], True), case["knn"],
+                                     fc1, fc2, gate, code)
+            with ad.no_grad():
+                plain = inv_edge_conv(ad.Tensor(case["x"], True), case["knn"],
+                                      fc1, fc2, gate, code)
+            assert recorded.requires_grad and recorded._parents
+            assert not plain.requires_grad and plain._parents == () and plain._vjps == ()
+            assert np.array_equal(plain.data, recorded.data)
 
     @pytest.mark.parametrize("bad", (9, -1))
     def test_out_of_range_neighbour_rejected(self, rng, bad):
@@ -632,6 +654,30 @@ def test_fused_model_matches_composed_model(rng, monkeypatch, row):
         for name in fused_grads:
             assert np.array_equal(fused_grads[name], ref_grads[name]), (
                 row, perturbed, name)
+
+
+@pytest.mark.parametrize("graph_metric", GRAPH_METRICS)
+@pytest.mark.parametrize("row", sorted(NAMED_CONFIGS))
+def test_no_grad_forward_matches_recorded(rng, row, graph_metric):
+    # inference runs each per-edge node one cloud at a time and training
+    # one full batch; at desk size (N * K = 480) they give the same bits, at
+    # the initial gates and at perturbed ones
+    model = FusionModel(named_config(row, graph_metric=graph_metric,
+                                     **ACCEPTANCE_MODEL))
+    pts = rng.standard_normal((8, 48, 3))
+    for perturbed in (False, True):
+        if perturbed:
+            for p in model.parameters():
+                p.data = p.data + 0.3 * rng.standard_normal(p.shape)
+        recorded = model.forward(pts)
+        with ad.no_grad():
+            plain = model.forward(pts)
+        assert recorded.prediction_logits.requires_grad
+        assert not plain.prediction_logits.requires_grad
+        for head in ("logits_inv", "logits_eqv", "logits_fused"):
+            a, r = getattr(plain, head), getattr(recorded, head)
+            assert (a is None) == (r is None), head
+            assert a is None or np.array_equal(a.data, r.data), (head, perturbed)
 
 
 def tape_nodes(*roots):

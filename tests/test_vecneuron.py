@@ -12,6 +12,8 @@ from rotinv.network import inv_edge_conv
 from rotinv.vecneuron import (EquivariantEncoder, VnEdgeConv, gather_neighbors,
                               vn_edge_conv, vn_invariant_head, vn_linear)
 
+from conftest import BLOCK_SHAPES
+
 
 def rotate_channels(rot, v):
     """Reference rotation action on (..., 3, C) features."""
@@ -204,6 +206,40 @@ class TestFusedVnNonlinearity:
                          ad.Tensor(np.full((2, 1), 1e300)))
         assert err.value.op == "vn_edge_conv"
 
+    @pytest.mark.parametrize("b,n,k", BLOCK_SHAPES)
+    def test_no_grad_matches_recorded(self, rng, b, n, k):
+        v = rng.standard_normal((b, n, 3, 4))
+        knn = rng.integers(0, n, (b, n, k))
+        w = ad.Parameter("w", rng.standard_normal((8, 6)))
+        d = ad.Parameter("d", rng.standard_normal((6, 1)))
+        recorded = vn_edge_conv(ad.Tensor(v, requires_grad=True), knn, w, d)
+        with ad.no_grad():
+            plain = vn_edge_conv(ad.Tensor(v, requires_grad=True), knn, w, d)
+        assert recorded.requires_grad and len(recorded._parents) == 3
+        assert not plain.requires_grad and plain._parents == () and plain._vjps == ()
+        if n * k % 4 == 0:
+            assert np.array_equal(plain.data, recorded.data)
+        else:
+            # the direction product is one BLAS gemv over each block's rows,
+            # and the rows past the kernel's last group of 4 go through
+            # another kernel: with N * K * 3 not a multiple of 4, a
+            # one-cloud block moves some rows into or out of that tail, which
+            # can change their last bit
+            assert relative(plain.data, recorded.data) <= 1e-12
+
+    def test_non_finite_last_cloud_raises(self, rng):
+        # the unrecorded forward checks k_hat one cloud at a time; only the
+        # last cloud's overflows
+        v = rng.standard_normal((3, 8, 3, 2))
+        v[-1, 5] = 1e308
+        knn = rng.integers(0, 8, (3, 8, 4))
+        w = ad.Parameter("w", 10.0 * rng.standard_normal((4, 3)))
+        d = ad.Parameter("d", rng.standard_normal((3, 1)))
+        with ad.no_grad(), np.errstate(all="ignore"), \
+                pytest.raises(ad.NumericError) as err:
+            vn_edge_conv(ad.Tensor(v), knn, w, d)
+        assert err.value.op == "vn_edge_conv"
+
     def test_first_layer_grad_reaches_parameters_only(self, rng):
         # the encoder's first layer sees raw points, which need no gradient
         v = rng.standard_normal((1, 6, 3, 1))
@@ -383,17 +419,22 @@ class TestInvEdgeConv:
         self.assert_bit_identical(self.inputs(rng), x_grad=False)
 
     def test_no_grad_records_no_parent(self, rng):
-        x, xj, w1, b1, w2, b2, _ = self.inputs(rng)
-        x[0, :, :] = 0.0                          # ties, as above
-        xj[0, :, :] = 0.0
-        fc1 = SimpleNamespace(weight=ad.Parameter("w1", w1), bias=ad.Parameter("b1", b1))
-        fc2 = SimpleNamespace(weight=ad.Parameter("w2", w2), bias=ad.Parameter("b2", b2))
-        recorded = inv_edge_conv(ad.Tensor(x), ad.Tensor(xj), fc1, fc2)
-        with ad.no_grad():
-            plain = inv_edge_conv(ad.Tensor(x), ad.Tensor(xj), fc1, fc2)
-        assert recorded.requires_grad and len(recorded._parents) == 4
-        assert not plain.requires_grad and plain._parents == () and plain._vjps == ()
-        assert np.array_equal(plain.data, recorded.data)
+        # psi's per-edge input; the unrecorded forward runs one cloud at a
+        # time and gives the recorded full-batch bits at every shape
+        for b, n, k in BLOCK_SHAPES:
+            x, xj, w1, b1, w2, b2, _ = self.inputs(rng, b=b, n=n, k=k)
+            x[0, :, :] = 0.0                      # ties, as above
+            xj[0, :, :] = 0.0
+            fc1 = SimpleNamespace(weight=ad.Parameter("w1", w1),
+                                  bias=ad.Parameter("b1", b1))
+            fc2 = SimpleNamespace(weight=ad.Parameter("w2", w2),
+                                  bias=ad.Parameter("b2", b2))
+            recorded = inv_edge_conv(ad.Tensor(x), ad.Tensor(xj), fc1, fc2)
+            with ad.no_grad():
+                plain = inv_edge_conv(ad.Tensor(x), ad.Tensor(xj), fc1, fc2)
+            assert recorded.requires_grad and len(recorded._parents) == 4
+            assert not plain.requires_grad and plain._parents == () and plain._vjps == ()
+            assert np.array_equal(plain.data, recorded.data)
 
     def test_gradient(self, rng):
         x, xj, w1, b1, w2, b2, weights = self.inputs(rng, b=1, n=5, k=3, c=2,
