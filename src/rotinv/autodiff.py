@@ -1,11 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 A small tape-free engine in the micrograd style: every op returns a new
-Tensor that remembers its parents and one vector-Jacobian callback per
-parent.  ``backward`` topologically sorts the graph and accumulates
-gradients into the leaves; an interior node's gradient is released as soon
-as its own callbacks have run, so only leaves keep ``.grad`` afterwards.
-Everything is float64 and single-threaded per graph.
+Tensor that remembers its parents and one gradient callback that yields
+each parent's gradient, as PyTorch's ``autograd.Function.backward`` returns
+one per input.  ``backward`` topologically sorts the graph, calls each
+callback once and accumulates gradients into the leaves; an interior node's
+gradient is released as soon as its callback has run, so only leaves keep
+``.grad`` afterwards.  Everything is float64 and single-threaded per graph.
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ def set_strict_finite_checks(enabled: bool) -> bool:
 class Tensor:
     """A float64 ndarray plus the graph edges needed for backward."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps", "_op",
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grads", "_op",
                  "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
@@ -73,7 +74,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
+        self._grads: Callable[[np.ndarray], Iterable[np.ndarray]] | None = None
         self._op = ""
 
     @property
@@ -90,12 +91,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op or 'leaf'!r})"
@@ -157,25 +152,33 @@ def recording(parents: Iterable[Tensor]) -> bool:
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
-def _from_op(data: np.ndarray, op: str, parents: Sequence[Tensor],
-             vjps: Sequence[Callable[[np.ndarray], np.ndarray]],
-             check: bool = False) -> Tensor:
+def _from_grads(data: np.ndarray, op: str, parents: Sequence[Tensor],
+                grads: Callable[[np.ndarray], Iterable[np.ndarray]] | None,
+                check: bool = False) -> Tensor:
+    """The node of an op on `parents`.  When it is recorded, backward calls
+    `grads(g)` once with the node's gradient, and it yields the gradient of
+    each parent that requires one, in parent order."""
     if (check or _strict_finite_checks) and not _all_finite(data):
         raise NumericError(op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if recording(parents):
-        out.requires_grad = True
-        kept = [(p, v) for p, v in zip(parents, vjps) if p.requires_grad]
-        out._parents = tuple(p for p, _ in kept)
-        out._vjps = tuple(v for _, v in kept)
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._vjps = ()
+    out.requires_grad = recorded = recording(parents)
+    out._parents = tuple(p for p in parents if recorded and p.requires_grad)
+    out._grads = grads if recorded else None
     out._op = op
     return out
+
+
+def _from_op(data: np.ndarray, op: str, parents: Sequence[Tensor],
+             vjps: Sequence[Callable[[np.ndarray], np.ndarray]],
+             check: bool = False) -> Tensor:
+    """A primitive's node, from one vector-Jacobian product per parent."""
+    grads = None
+    if recording(parents):
+        kept = [v for p, v in zip(parents, vjps) if p.requires_grad]
+        grads = lambda g: (vjp(g) for vjp in kept)
+    return _from_grads(data, op, parents, grads, check)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -262,12 +265,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 def swap_last_axes(a: Tensor) -> Tensor:
     order = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
     return transpose(a, order)
-
-
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    return _from_op(np.broadcast_to(a.data, shape), "broadcast_to", (a,),
-                    (lambda g: _unbroadcast(g, a.shape),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -531,10 +528,11 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor, params: Iterable[Parameter] | None = None) -> dict[str, np.ndarray]:
     """Accumulate dloss/dx into .grad of every leaf reachable from `loss`.
 
-    Leaves (parameters and user tensors with requires_grad) keep their
-    gradient.  An interior node's gradient is dropped once its VJPs have run;
-    reverse topological order guarantees every consumer has contributed by
-    then, so it is never needed again.  With `params` given, returns the
+    Each recorded node's gradient callback runs once.  Leaves (parameters
+    and user tensors with requires_grad) keep their gradient.  An interior
+    node's gradient is dropped once its callback has run; reverse
+    topological order guarantees every consumer has contributed by then, so
+    it is never needed again.  With `params` given, returns the
     gradient store {name: gradient}; any parameter the loss does not depend
     on gets a zero gradient.
     """
@@ -544,16 +542,14 @@ def backward(loss: Tensor, params: Iterable[Parameter] | None = None) -> dict[st
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         g = node.grad
-        if g is None:
+        if g is None or not node._parents:      # a leaf keeps its gradient
             continue
-        for parent, vjp in zip(node._parents, node._vjps):
-            contribution = vjp(g)
+        for parent, contribution in zip(node._parents, node._grads(g)):
             if parent.grad is None:
                 parent.grad = contribution
             else:
                 parent.grad = parent.grad + contribution
-        if node._parents:
-            node.grad = None
+        node.grad = None
     store: dict[str, np.ndarray] = {}
     if params is not None:
         for p in params:

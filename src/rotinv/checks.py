@@ -86,7 +86,7 @@ def check_frame_orthogonality(n: int = 100_000, seed: int = 0) -> CheckResult:
     """Bisector frames have |u1 . u2| at machine-precision zero."""
     started = time.time()
     pair = _random_valid_pairs(n, np.random.default_rng(seed))
-    frame, _ = fr.lcrf_frame(pair)
+    frame = fr.lcrf_frame(pair)
     dots = (frame.data[..., :, 0] * frame.data[..., :, 1]).sum(-1)
     worst = float(np.abs(dots).max())
     return CheckResult(worst <= 1e-9, worst, 1e-9,
@@ -112,8 +112,8 @@ def check_equivariance(n_pairs: int = 100, seed: int = 0) -> CheckResult:
         worst = max(worst, float(defect))
 
         pair = _random_valid_pairs(64, rng)
-        frame, _ = fr.lcrf_frame(pair)
-        frame_rot, _ = fr.lcrf_frame(pair.rotated(rot))
+        frame = fr.lcrf_frame(pair)
+        frame_rot = fr.lcrf_frame(pair.rotated(rot))
         expect_frame = np.einsum("ij,njk->nik", rot, frame.data)
         defect = np.abs(frame_rot.data - expect_frame).max()
         worst = max(worst, float(defect))
@@ -170,8 +170,8 @@ def check_consistency_identity(n: int = 10_000, seed: int = 0) -> CheckResult:
 
     a = orthogonalize(pair_a)
     b = orthogonalize(pair_b)
-    frame_a, _ = fr.lcrf_frame(a)
-    frame_b, _ = fr.lcrf_frame(b)
+    frame_a = fr.lcrf_frame(a)
+    frame_b = fr.lcrf_frame(b)
     lhs = fr.consistency(frame_a, frame_b, 1)
     rhs = (a.v2.data * b.v2.data).sum(-1)
     worst = float(np.abs(lhs - rhs).max())
@@ -228,7 +228,7 @@ def check_gradient_suite(seed: int = 0) -> CheckResult:
 
     def bisector_loss(t: ad.Tensor) -> ad.Tensor:
         p = fr.ProjectedPair(ad.normalize(t[0], axis=-1), ad.normalize(t[1], axis=-1))
-        frame, _ = fr.lcrf_frame(p)
+        frame = fr.lcrf_frame(p)
         return ad.tsum(frame.matrix * ad.Tensor(weights_gs))
 
     def addmm_loss(t: ad.Tensor) -> ad.Tensor:

@@ -144,17 +144,7 @@ def gram_schmidt_frame(pair: ProjectedPair, fallback: Frame | None = None) -> Fr
     return Frame(matrix, kind="gram-schmidt", degenerate=bad)
 
 
-@dataclass
-class BisectorIntermediates:
-    """sin/cos of the half angle and the scaled bisector, kept for tests."""
-
-    sin_theta: Tensor
-    cos_theta: Tensor
-    vbar: Tensor
-
-
-def lcrf_frame(pair: ProjectedPair,
-               fallback: Frame | None = None) -> tuple[Frame, BisectorIntermediates]:
+def lcrf_frame(pair: ProjectedPair, fallback: Frame | None = None) -> Frame:
     """Symmetric frame from the angular bisector of the pair.
 
     With d = v1.v2 and theta half the angle between them:
@@ -180,10 +170,7 @@ def lcrf_frame(pair: ProjectedPair,
     matrix = ad.stack([u1, u2, u3], axis=-1)
     if fallback is not None:
         matrix = _splice_fallback(matrix, bad, fallback)
-    frame = Frame(matrix, kind="lcrf", degenerate=bad)
-    inter = BisectorIntermediates(ad.reshape(sin_t, sin_t.shape[:-1]),
-                                  ad.reshape(cos_t, cos_t.shape[:-1]), vbar)
-    return frame, inter
+    return Frame(matrix, kind="lcrf", degenerate=bad)
 
 
 def handcrafted_frame(points: np.ndarray, knn: np.ndarray,

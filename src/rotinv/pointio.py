@@ -5,6 +5,8 @@ little-endian u32 point count, then float32 xyz triples.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -26,9 +28,9 @@ def write_cloud_text(path, cloud: PointCloud) -> None:
 
 
 def read_cloud_text(path) -> PointCloud:
-    """Read ``x y z [label]`` lines; a non-ASCII byte, a wrong column count,
-    a coordinate that is not a number or a label that is not an integer
-    raises ValueError naming the path and the line."""
+    """Read ``x y z [label]`` lines.  A non-ASCII byte, a wrong column count,
+    a non-finite or non-numeric coordinate or a label that is not an int64 raises
+    ValueError naming the path and line; a file without points, the path."""
     points = []
     labels = []
     with open(path, "rb") as fh:
@@ -47,12 +49,17 @@ def read_cloud_text(path) -> PointCloud:
             except ValueError:
                 raise ValueError(f"{path}:{line_no}: coordinates "
                                  f"{' '.join(parts[:3])!r} are not numbers") from None
+            if not all(map(math.isfinite, points[-1])):
+                raise ValueError(f"{path}:{line_no}: coordinates "
+                                 f"{' '.join(parts[:3])!r} are not finite")
             if len(parts) == 4:
                 try:
-                    labels.append(int(parts[3]))
-                except ValueError:
+                    labels.append(np.int64(parts[3]))
+                except (ValueError, OverflowError):
                     raise ValueError(f"{path}:{line_no}: label {parts[3]!r} "
-                                     f"is not an integer") from None
+                                     f"is not a 64-bit integer") from None
+    if not points:
+        raise ValueError(f"{path}: no points")
     if labels and len(labels) != len(points):
         raise ValueError(f"{path}: label column present on only some lines")
     return PointCloud(np.array(points),
@@ -67,6 +74,8 @@ def write_cloud_binary(path, cloud: PointCloud) -> None:
 
 
 def read_cloud_binary(path) -> PointCloud:
+    """Read an LCPC file; its point count is checked against the file's size
+    before any point is read.  Errors are ValueErrors naming the path."""
     with open(path, "rb") as fh:
         if fh.read(4) != CLOUD_MAGIC:
             raise ValueError(f"{path}: not a binary point-cloud file (bad magic)")
@@ -74,10 +83,19 @@ def read_cloud_binary(path) -> PointCloud:
         if len(head) != 4:
             raise ValueError(f"{path}: truncated point count")
         (count,) = struct.unpack("<I", head)
-        raw = fh.read(12 * count)
-        if len(raw) != 12 * count:
-            raise ValueError(f"{path}: truncated point data")
-        points = np.frombuffer(raw, dtype="<f4").reshape(count, 3)
+        if count == 0:
+            raise ValueError(f"{path}: no points")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < 12 * count:
+            raise ValueError(f"{path}: truncated point data: {count} points "
+                             f"need {12 * count} bytes, {left} left")
+        if left > 12 * count:
+            raise ValueError(f"{path}: {left - 12 * count} trailing bytes "
+                             f"after the last point")
+        points = np.frombuffer(fh.read(12 * count), dtype="<f4").reshape(count, 3)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: point {bad[0]} is not finite")
     return PointCloud(points.astype(np.float64))
 
 

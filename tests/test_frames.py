@@ -77,26 +77,15 @@ class TestBisectorFrame:
     def test_hand_example(self):
         # orthogonal inputs: theta = pi/4, vbar = v1 + v2, axes swap roles
         pair = fr.ProjectedPair.from_arrays([1.0, 0, 0], [0, 1.0, 0])
-        frame, inter = fr.lcrf_frame(pair)
-        np.testing.assert_allclose(inter.sin_theta.data, SQ2 / 2, atol=1e-15)
-        np.testing.assert_allclose(inter.cos_theta.data, SQ2 / 2, atol=1e-15)
-        np.testing.assert_allclose(inter.vbar.data, [1.0, 1.0, 0.0], atol=1e-15)
+        frame = fr.lcrf_frame(pair)
         np.testing.assert_allclose(frame.column(1), [0, 1.0, 0], atol=1e-15)
         np.testing.assert_allclose(frame.column(2), [1.0, 0, 0], atol=1e-15)
         np.testing.assert_allclose(frame.column(3), [0, 0, -1.0], atol=1e-15)
 
-    def test_intermediate_invariants(self):
-        pair = random_valid_pair(1)
-        _, inter = fr.lcrf_frame(pair)
-        s, c = inter.sin_theta.data, inter.cos_theta.data
-        np.testing.assert_allclose(s * s + c * c, 1.0, atol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(inter.vbar.data, axis=-1),
-                                   s + c, atol=1e-12)
-
     @given(st.integers(0, 1000))
     @settings(max_examples=50, deadline=None)
     def test_axes_orthogonal(self, seed):
-        frame, _ = fr.lcrf_frame(random_valid_pair(seed))
+        frame = fr.lcrf_frame(random_valid_pair(seed))
         dots = (frame.data[..., :, 0] * frame.data[..., :, 1]).sum(-1)
         assert np.abs(dots).max() <= 1e-9
 
@@ -105,15 +94,15 @@ class TestBisectorFrame:
     def test_equivariance(self, seed):
         pair = random_valid_pair(seed)
         rot = sample_rotation_so3(seed).matrix
-        frame, _ = fr.lcrf_frame(pair)
-        frame_rot, _ = fr.lcrf_frame(pair.rotated(rot))
+        frame = fr.lcrf_frame(pair)
+        frame_rot = fr.lcrf_frame(pair.rotated(rot))
         expected = np.einsum("ij,njk->nik", rot, frame.data)
         assert np.abs(frame_rot.data - expected).max() <= 1e-9
 
     def test_swap_symmetry_exact(self):
         pair = random_valid_pair(2)
-        a, _ = fr.lcrf_frame(pair)
-        b, _ = fr.lcrf_frame(pair.swapped())
+        a = fr.lcrf_frame(pair)
+        b = fr.lcrf_frame(pair.swapped())
         assert np.array_equal(b.data[..., 0], a.data[..., 1])
         assert np.array_equal(b.data[..., 1], a.data[..., 0])
 
@@ -127,7 +116,7 @@ class TestBisectorFrame:
         v2 = np.array([[1.0, 0, 0], [1.0, 0, 0]])  # first row is degenerate
         pair = fr.ProjectedPair.from_arrays(v1, v2)
         fallback = fr.identity_frames((2,))
-        frame, _ = fr.lcrf_frame(pair, fallback=fallback)
+        frame = fr.lcrf_frame(pair, fallback=fallback)
         np.testing.assert_array_equal(frame.data[0], np.eye(3))
         dots = (frame.data[1][:, 0] * frame.data[1][:, 1]).sum()
         assert abs(dots) <= 1e-9
@@ -138,7 +127,7 @@ class TestBisectorFrame:
         v1 = ad.Tensor(np.array([[1.0, 0, 0], [0, 1.0, 0]]), requires_grad=True)
         v2 = ad.Tensor(np.array([[1.0, 0, 0], [1.0, 0, 0]]), requires_grad=True)
         pair = fr.ProjectedPair(v1, v2)
-        frame, _ = fr.lcrf_frame(pair, fallback=fr.identity_frames((2,)))
+        frame = fr.lcrf_frame(pair, fallback=fr.identity_frames((2,)))
         ad.backward(ad.tsum(frame.matrix))
         np.testing.assert_array_equal(v1.grad[0], np.zeros(3))
         assert np.abs(v1.grad[1]).max() > 0
@@ -208,7 +197,7 @@ class TestHandcraftedFrame:
 
 class TestConsistencyMetric:
     def test_self_consistency_is_one(self):
-        frame, _ = fr.lcrf_frame(random_valid_pair(0))
+        frame = fr.lcrf_frame(random_valid_pair(0))
         np.testing.assert_allclose(fr.consistency(frame, frame, 1), 1.0,
                                    atol=1e-12)
 
@@ -227,8 +216,8 @@ class TestConsistencyMetric:
             v1a, v1b = (unit(rng.standard_normal(3)) for _ in range(2))
             v2a = unit(np.cross(v1a, rng.standard_normal(3)))
             v2b = unit(np.cross(v1b, rng.standard_normal(3)))
-            fa, _ = fr.lcrf_frame(fr.ProjectedPair.from_arrays(v1a, v2a))
-            fb, _ = fr.lcrf_frame(fr.ProjectedPair.from_arrays(v1b, v2b))
+            fa = fr.lcrf_frame(fr.ProjectedPair.from_arrays(v1a, v2a))
+            fb = fr.lcrf_frame(fr.ProjectedPair.from_arrays(v1b, v2b))
             lhs = fr.consistency(fa, fb, 1)
             assert abs(lhs - v2a @ v2b) <= 1e-9
 
@@ -333,7 +322,7 @@ class TestFrameGradients:
         def loss(t):
             pair = fr.ProjectedPair(ad.normalize(t[0], axis=-1),
                                     ad.normalize(t[1], axis=-1))
-            frame, _ = fr.lcrf_frame(pair)
+            frame = fr.lcrf_frame(pair)
             return ad.tsum(frame.matrix * weights)
 
         assert check_tensor_gradient(loss, raw) <= 1e-4
@@ -353,7 +342,7 @@ class TestFrameGradients:
 class TestExport:
     def test_csv_layout(self, tmp_path, rng):
         pts = rng.standard_normal((9, 3))
-        frame, _ = fr.lcrf_frame(random_valid_pair(8, n=20))
+        frame = fr.lcrf_frame(random_valid_pair(8, n=20))
         frame = fr.Frame(ad.Tensor(frame.data[:9]), kind="lcrf")
         path = tmp_path / "frames.csv"
         fr.export_frames_csv(path, pts, frame)

@@ -101,7 +101,7 @@ class TestPoseCodes:
         pair = fr.ProjectedPair.from_arrays(
             *[v / np.linalg.norm(v, axis=-1, keepdims=True)
               for v in rng.standard_normal((2, 1, 12, 3))])
-        frame, _ = fr.lcrf_frame(pair)
+        frame = fr.lcrf_frame(pair)
         return pts, knn, veq, frame
 
     def test_equal_features_give_zero_code(self, rng):
@@ -568,7 +568,7 @@ class TestGatedEdgeConv:
                 plain = inv_edge_conv(ad.Tensor(case["x"], True), case["knn"],
                                       fc1, fc2, gate, code)
             assert recorded.requires_grad and recorded._parents
-            assert not plain.requires_grad and plain._parents == () and plain._vjps == ()
+            assert not plain.requires_grad and plain._parents == () and plain._grads is None
             assert np.array_equal(plain.data, recorded.data)
 
     @pytest.mark.parametrize("bad", (9, -1))

@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from rotinv.autodiff import CHECKPOINT_MAGIC, load_checkpoint
 from rotinv.geometry import PointCloud
 from rotinv.pointio import (CLOUD_MAGIC, read_cloud, read_cloud_binary,
                             read_cloud_text, write_cloud, write_cloud_binary,
@@ -103,3 +108,89 @@ def test_read_cloud_sniffs_format(tmp_path, cloud):
     write_cloud(text, cloud)
     np.testing.assert_allclose(read_cloud(binary).points, cloud.points, atol=1e-6)
     np.testing.assert_array_equal(read_cloud(text).points, cloud.points)
+
+
+def test_text_rejects_non_finite_coordinate(tmp_path):
+    path = tmp_path / "bad.xyz"
+    path.write_text("1 2 3\nnan 0 0\n")
+    with pytest.raises(ValueError, match=r"bad\.xyz:2: coordinates 'nan 0 0' "
+                                         r"are not finite"):
+        read_cloud(path)
+
+
+def test_text_rejects_label_outside_int64(tmp_path):
+    path = tmp_path / "bad.xyz"
+    path.write_text("1 2 3 9223372036854775808\n")
+    with pytest.raises(ValueError, match=r"bad\.xyz:1: label '9223372036854775808' "
+                                         r"is not a 64-bit integer"):
+        read_cloud(path)
+
+
+def test_text_rejects_empty_file(tmp_path):
+    path = tmp_path / "empty.xyz"
+    path.write_text("\n  \n")
+    with pytest.raises(ValueError, match=r"empty\.xyz: no points"):
+        read_cloud(path)
+
+
+def test_binary_rejects_zero_count(tmp_path):
+    path = tmp_path / "empty.lcpc"
+    path.write_bytes(CLOUD_MAGIC + (0).to_bytes(4, "little"))
+    with pytest.raises(ValueError, match=r"empty\.lcpc: no points"):
+        read_cloud(path)
+
+
+def test_binary_rejects_non_finite_coordinate(tmp_path):
+    path = tmp_path / "nan.lcpc"
+    points = np.array([[1, 2, 3], [0, np.nan, 0]], dtype="<f4")
+    path.write_bytes(CLOUD_MAGIC + (2).to_bytes(4, "little") + points.tobytes())
+    with pytest.raises(ValueError, match=r"nan\.lcpc: point 1 is not finite"):
+        read_cloud(path)
+
+
+def test_binary_rejects_trailing_bytes(tmp_path, cloud):
+    path = tmp_path / "long.lcpc"
+    write_cloud_binary(path, cloud)
+    with open(path, "ab") as fh:
+        fh.write(b"\x00")
+    with pytest.raises(ValueError, match=r"long\.lcpc: 1 trailing bytes"):
+        read_cloud(path)
+
+
+def test_binary_count_is_checked_before_reading(tmp_path):
+    # a count far past the file's size fails before any buffer of that
+    # size is asked for
+    path = tmp_path / "huge.lcpc"
+    path.write_bytes(CLOUD_MAGIC + (1 << 20).to_bytes(4, "little"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"huge\.lcpc: truncated point data"):
+            read_cloud(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    path.write_bytes(CLOUD_MAGIC + (0xFFFFFFFF).to_bytes(4, "little"))
+    with pytest.raises(ValueError, match=r"huge\.lcpc: truncated point data"):
+        read_cloud(path)
+
+
+# bytes of any value, and text made of the characters of numbers, so that
+# the text reader's number and label paths are reached too
+FUZZ_BYTES = st.binary(max_size=96) | st.text(alphabet="0123456789 -+.eEinfa\n",
+                                               max_size=96).map(str.encode)
+
+
+@given(FUZZ_BYTES, st.booleans())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_readers_raise_only_named_value_errors(tmp_path, blob, magic):
+    # any bytes, with or without a format's magic, load or raise a
+    # ValueError that names the file
+    for prefix, read in ((CLOUD_MAGIC, read_cloud), (CHECKPOINT_MAGIC, load_checkpoint)):
+        path = tmp_path / "fuzz.bin"
+        path.write_bytes((prefix if magic else b"") + blob)
+        try:
+            read(path)
+        except ValueError as err:
+            assert str(path) in str(err)

@@ -216,7 +216,7 @@ class TestFusedVnNonlinearity:
         with ad.no_grad():
             plain = vn_edge_conv(ad.Tensor(v, requires_grad=True), knn, w, d)
         assert recorded.requires_grad and len(recorded._parents) == 3
-        assert not plain.requires_grad and plain._parents == () and plain._vjps == ()
+        assert not plain.requires_grad and plain._parents == () and plain._grads is None
         if n * k % 4 == 0:
             assert np.array_equal(plain.data, recorded.data)
         else:
@@ -433,7 +433,7 @@ class TestInvEdgeConv:
             with ad.no_grad():
                 plain = inv_edge_conv(ad.Tensor(x), ad.Tensor(xj), fc1, fc2)
             assert recorded.requires_grad and len(recorded._parents) == 4
-            assert not plain.requires_grad and plain._parents == () and plain._vjps == ()
+            assert not plain.requires_grad and plain._parents == () and plain._grads is None
             assert np.array_equal(plain.data, recorded.data)
 
     def test_gradient(self, rng):
