@@ -22,7 +22,7 @@ from .geometry import knn_graph, sample_rotation_so3
 from .gradcheck import check_tensor_gradient, directional_derivative_error
 from .harness import Protocol, RunReport, TrainConfig, evaluate, run_experiment
 from .network import (PROTOCOL_ROWS, FusionModel, ModelConfig, inv_edge_conv,
-                      named_config, relative_defect, rpr_code, total_loss)
+                      named_config, rpr_code, total_loss)
 from .vecneuron import EquivariantEncoder, gather_neighbors, vn_edge_conv
 
 
@@ -126,25 +126,12 @@ def check_end_to_end_invariance(n_rotations: int = 50, seed: int = 0) -> CheckRe
     """Full-model logits move <= 1e-6 relative under rotation and the
     predicted class never changes."""
     started = time.time()
-    rng = np.random.default_rng(seed)
     dataset = generate_dataset(DatasetSpec(n_points=64, train_per_class=1,
                                            test_per_class=1, seed=seed))
     points = np.stack([c.points for c in dataset.train])
     model = FusionModel(named_config("full", **ACCEPTANCE_MODEL))
-    with ad.no_grad():
-        reference = model.forward(points).prediction_logits.data
-    ref_classes = reference.argmax(axis=-1)
-    defects = []
-    # argmax of an all-NaN row is 0: classes are stable only if finite
-    stable = bool(np.isfinite(reference).all())
-    for _ in range(n_rotations):
-        rot = sample_rotation_so3(rng).matrix
-        with ad.no_grad():
-            logits = model.forward(points @ rot.T).prediction_logits.data
-        defects.append(relative_defect(logits, reference))
-        stable = (stable and bool(np.isfinite(logits).all())
-                  and bool((logits.argmax(axis=-1) == ref_classes).all()))
-    worst = float(np.max(defects, initial=0.0))
+    worst, stable = model._invariance_defect(points, n_rotations,
+                                             np.random.default_rng(seed))
     passed = worst <= 1e-6 and stable
     return CheckResult(passed, worst, 1e-6,
                        f"{n_rotations} rotations, classes stable={stable}",

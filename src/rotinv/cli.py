@@ -19,9 +19,9 @@ import numpy as np
 from . import checks as checks_module
 from .dataset import DatasetSpec, generate_dataset
 from .geometry import PointCloud
-from .harness import (DivergenceError, Protocol, TrainConfig, evaluate,
-                      export_frame_field, run_ablation_grid, run_experiment,
-                      run_perturbation_sweep)
+from .harness import (DivergenceError, Protocol, TrainConfig,
+                      evaluate_protocol, export_frame_field, run_ablation_grid,
+                      run_experiment, run_perturbation_sweep)
 from .network import (COMPONENT_ABLATION_ROWS, FRAME_ABLATION_ROWS,
                       POSE_ABLATION_ROWS, PROTOCOL_ROWS, FusionModel,
                       ModelConfig, named_config)
@@ -43,7 +43,7 @@ ABLATION_AXES = {"components": COMPONENT_ABLATION_ROWS,
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """key = value lines; '#' starts a comment, blank lines are ignored."""
+    """Unique `key = value` lines; '#' starts a comment, blanks are ignored."""
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -52,8 +52,10 @@ def parse_config_file(path) -> dict[str, str]:
                 continue
             if "=" not in text:
                 raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-            key, value = text.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in text.split("=", 1))
+            if key in values:
+                raise ValueError(f"{path}:{line_no}: repeated key {key!r}")
+            values[key] = value
     return values
 
 
@@ -174,12 +176,10 @@ def cmd_eval(args) -> int:
     dataset = generate_dataset(data_spec)
     model = FusionModel(model_cfg)
     model.load(args.model)
-    accs = [evaluate(model, dataset.test, dataset.test_labels,
-                     protocol.test_rotation, seed=model_cfg.seed * 1000 + rep)
-            for rep in range(protocol.repeats)]
+    accs = evaluate_protocol(model, dataset, protocol, model_cfg.seed)
     out = _out_dir(args)
     payload = {"protocol": protocol.name, "accuracy": float(np.mean(accs)),
-               "per_repeat": [float(a) for a in accs]}
+               "per_repeat": accs}
     (out / "eval.json").write_text(json.dumps(payload, indent=2))
     print(f"accuracy ({protocol.name}): {payload['accuracy']:.4f}")
     return 0

@@ -19,7 +19,7 @@ from .dataset import SyntheticDataset
 from .frames import export_frames_csv, export_frames_ply
 from .geometry import (PointCloud, add_gaussian_noise, as_rng, drop_points,
                        sample_rotation_so3, sample_rotation_z)
-from .network import (FusionModel, ModelConfig, named_config, relative_defect,
+from .network import (FusionModel, ForwardOutput, ModelConfig, named_config,
                       total_loss)
 
 PROTOCOL_NAMES = {"zz": ("z", "z"), "zso3": ("z", "so3"), "so3so3": ("so3", "so3")}
@@ -64,6 +64,9 @@ class TrainConfig:
     clip_norm: float = 5.0  # global gradient-norm clip; 0 disables
 
     def __post_init__(self):
+        for name in ("lr", "momentum", "weight_decay", "clip_norm"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
             raise ValueError("epochs and batch_size must be >= 1, lr > 0")
         if self.clip_norm < 0:
@@ -136,9 +139,18 @@ def _rotate_batch(points: np.ndarray, kind: str, rng: np.random.Generator) -> np
     return out
 
 
+def _probed_forward(model: FusionModel, points: np.ndarray) -> ForwardOutput:
+    """The forward pass plus the invariance probe: the relative logit
+    defect of one fixed rotation, the first of `default_rng(0)`."""
+    out = model.forward(points)
+    out.diagnostics["invariance_defect"] = model._invariance_defect(
+        points, 1, np.random.default_rng(0), out.prediction_logits.data)[0]
+    return out
+
+
 def _train_step(model: FusionModel, optimizer: ad.SGD, points: np.ndarray,
                 labels: np.ndarray, clip_norm: float,
-                measure_invariance: bool) -> tuple[dict, dict, Optional[float], bool]:
+                probe: bool) -> tuple[dict, dict, Optional[float], bool]:
     """One SGD step: forward, loss, backward, clip, update.
 
     Returns only plain numbers -- the loss parts, the forward's diagnostics,
@@ -147,7 +159,7 @@ def _train_step(model: FusionModel, optimizer: ad.SGD, points: np.ndarray,
     before the next batch's forward builds its own.
     """
     cfg = model.config
-    out = model.forward(points, measure_invariance=measure_invariance)
+    out = _probed_forward(model, points) if probe else model.forward(points)
     loss, parts = total_loss(out.logits_inv, out.logits_eqv, out.logits_fused,
                              labels, cfg.lambda_orth, cfg.lambda_consist,
                              pair=out.pair, knn=out.knn_coord,
@@ -192,10 +204,9 @@ def train_model(model: FusionModel, dataset: SyntheticDataset,
             started = time.perf_counter()
             batch = order[start:start + train_cfg.batch_size]
             batch_pts = _rotate_batch(points[batch], protocol.train_rotation, rot_rng)
-            measure = jsonl_sink is not None and start == 0
             parts, diag, grad_norm, clipped = _train_step(
                 model, optimizer, batch_pts, labels[batch],
-                train_cfg.clip_norm, measure)
+                train_cfg.clip_norm, probe=jsonl_sink is not None and start == 0)
             step_s = time.perf_counter() - started
             epoch_losses.append(parts["total"])
             if start == 0:
@@ -232,6 +243,14 @@ def evaluate(model: FusionModel, clouds: list[PointCloud], labels: np.ndarray,
     return correct / len(labels)
 
 
+def evaluate_protocol(model: FusionModel, dataset: SyntheticDataset,
+                      protocol: Protocol, seed: int) -> list[float]:
+    """Test accuracy under each of the protocol's repeats of fresh rotations."""
+    return [evaluate(model, dataset.test, dataset.test_labels,
+                     protocol.test_rotation, seed=seed * 1000 + rep)
+            for rep in range(protocol.repeats)]
+
+
 def run_experiment(model_cfg: ModelConfig, protocol: Protocol,
                    dataset: SyntheticDataset, train_cfg: TrainConfig,
                    seed: int, jsonl_sink: Optional[Callable[[dict], None]] = None,
@@ -248,14 +267,10 @@ def run_experiment(model_cfg: ModelConfig, protocol: Protocol,
         report.status = "diverged"
         report.wall_clock_s = time.time() - started
         raise DivergenceError(report)
-    accs = [evaluate(model, dataset.test, dataset.test_labels,
-                     protocol.test_rotation, seed=seed * 1000 + rep)
-            for rep in range(protocol.repeats)]
-    report.per_repeat_accuracy = [float(a) for a in accs]
-    report.accuracy = float(np.mean(accs))
+    report.per_repeat_accuracy = evaluate_protocol(model, dataset, protocol, seed)
+    report.accuracy = float(np.mean(report.per_repeat_accuracy))
     with ad.no_grad():
-        probe = model.forward(np.stack([c.points for c in dataset.test[:4]]),
-                              measure_invariance=True)
+        probe = _probed_forward(model, np.stack([c.points for c in dataset.test[:4]]))
     report.final_diagnostics = {k: v for k, v in probe.diagnostics.items()
                                 if v is not None}
     report.wall_clock_s = time.time() - started
@@ -325,13 +340,5 @@ def invariance_defect(model: FusionModel, clouds: list[PointCloud],
                       n_rotations: int, seed: int) -> float:
     """Max relative change of prediction logits over random rotations;
     a NaN logit makes it NaN, never 0."""
-    rng = as_rng(seed)
     points = np.stack([c.points for c in clouds])
-    with ad.no_grad():
-        reference = model.forward(points).prediction_logits.data
-        defects = []
-        for _ in range(n_rotations):
-            rot = sample_rotation_so3(rng).matrix
-            logits = model.forward(points @ rot.T).prediction_logits.data
-            defects.append(relative_defect(logits, reference))
-    return float(np.max(defects, initial=0.0))
+    return model._invariance_defect(points, n_rotations, as_rng(seed))[0]

@@ -44,6 +44,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("lambda_orth", "lambda_consist"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.frame_kind not in FRAME_KINDS:
             raise ValueError(f"frame_kind must be one of {FRAME_KINDS}")
         if self.rpr_source not in RPR_SOURCES:
@@ -52,8 +55,6 @@ class ModelConfig:
             raise ValueError(f"fusion must be one of {FUSION_MODES}")
         if self.graph_metric not in GRAPH_METRICS:
             raise ValueError(f"graph_metric must be one of {GRAPH_METRICS}")
-        if self.lambda_orth < 0 or self.lambda_consist < 0:
-            raise ValueError("loss weights must be >= 0")
         if len(self.inv_widths) != 3:
             raise ValueError(f"inv_widths must hold exactly 3 widths, one per "
                              f"invariant edge convolution, got {self.inv_widths}")
@@ -675,11 +676,8 @@ class FusionModel:
             return rpr_code(frame, ad.matmul(veq, self.rpr_proj), knn)
         return None
 
-    def forward(self, points: np.ndarray,
-                measure_invariance: bool = False) -> ForwardOutput:
-        """Run both branches on a (B, N, 3) batch; `measure_invariance`
-        re-runs the model on one rotated copy of the batch and records the
-        relative logits defect."""
+    def forward(self, points: np.ndarray) -> ForwardOutput:
+        """Run both branches on a (B, N, 3) batch."""
         if np.ndim(points) != 3 or np.shape(points)[-1] != 3:
             raise ValueError(f"points must be (B, N, 3), got {np.shape(points)}")
         points = np.asarray(points, dtype=np.float64)
@@ -743,26 +741,33 @@ class FusionModel:
             "consistency_axis1": mean_knn_consistency(frame, knn_coord, 1),
             "consistency_axis2": mean_knn_consistency(frame, knn_coord, 2),
         }
-        out = ForwardOutput(logits_inv, logits_eqv, logits_fused, pair, frame,
-                            knn_coord, diagnostics)
-        if measure_invariance:
-            diagnostics["invariance_defect"] = self._invariance_defect(points, out)
-        return out
-
-    def _invariance_defect(self, points: np.ndarray, reference: ForwardOutput) -> float:
-        rot = sample_rotation_so3(np.random.default_rng(0))
-        with ad.no_grad():
-            rotated = self.forward(points @ rot.matrix.T)
-        return relative_defect(rotated.prediction_logits.data,
-                               reference.prediction_logits.data)
+        return ForwardOutput(logits_inv, logits_eqv, logits_fused, pair, frame,
+                             knn_coord, diagnostics)
 
     __call__ = forward
 
-
-def relative_defect(logits: np.ndarray, reference: np.ndarray) -> float:
-    """max |logits - reference| / max |reference|; a NaN in either gives NaN."""
-    scale = np.maximum(np.abs(reference).max(), 1e-12)
-    return float(np.abs(logits - reference).max() / scale)
+    def _invariance_defect(self, points: np.ndarray, n_rotations: int,
+                           rng: np.random.Generator,
+                           reference: Optional[np.ndarray] = None) -> tuple[float, bool]:
+        """The max over `n_rotations` SO(3) rotations from `rng` of
+        max |logits - reference| / max |reference| (`reference` defaults to
+        the unrotated batch's logits; a NaN logit makes it NaN), and whether
+        every logit is finite and no predicted class changes."""
+        with ad.no_grad():
+            if reference is None:
+                reference = self.forward(points).prediction_logits.data
+            scale = np.maximum(np.abs(reference).max(), 1e-12)
+            classes = reference.argmax(axis=-1)
+            # argmax of an all-NaN row is 0: classes are stable only if finite
+            stable = bool(np.isfinite(reference).all())
+            worst = 0.0
+            for _ in range(n_rotations):
+                rot = sample_rotation_so3(rng).matrix
+                logits = self.forward(points @ rot.T).prediction_logits.data
+                worst = np.maximum(worst, np.abs(logits - reference).max() / scale)
+                stable = (stable and bool(np.isfinite(logits).all())
+                          and bool((logits.argmax(axis=-1) == classes).all()))
+        return float(worst), stable
 
 
 def mean_knn_consistency(frame: fr.Frame, knn: np.ndarray, axis: int) -> float:

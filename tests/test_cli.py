@@ -53,6 +53,24 @@ def test_parse_config_rejects_bad_lines(tmp_path):
         parse_config_file(path)
 
 
+def test_parse_config_rejects_repeated_key(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("k = 8\n# comment\nk = 9\n")
+    with pytest.raises(ValueError, match=r"c\.txt:3: repeated key 'k'"):
+        parse_config_file(path)
+
+
+@pytest.mark.parametrize("key", ["lr", "momentum", "weight_decay", "clip_norm",
+                                 "lambda_orth", "lambda_consist"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_config_value_rejected(tmp_path, key, value):
+    path = tmp_path / "c.txt"
+    path.write_text(f"{key} = {value}\n")
+    args = build_parser().parse_args(["train", "--config", str(path)])
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        load_configs(args)
+
+
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("frobnicate = 7\n")
@@ -137,6 +155,12 @@ def test_train_eval_perturb_export_roundtrip(tmp_path, config_file):
                  "--protocol", "zz", "--out", str(eval_dir)]) == 0
     payload = json.loads((eval_dir / "eval.json").read_text())
     assert payload["protocol"] == "zz"
+    # eval under the training protocol repeats the report's evaluation
+    assert main(["eval", "--config", config_file, "--seed", "0",
+                 "--model", str(run_dir / "model.lckp"),
+                 "--protocol", "zso3", "--out", str(eval_dir)]) == 0
+    payload = json.loads((eval_dir / "eval.json").read_text())
+    assert payload["per_repeat"] == report["per_repeat_accuracy"]
 
     perturb_dir = tmp_path / "perturb"
     assert main(["perturb", "--config", config_file, "--seed", "0",

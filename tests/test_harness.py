@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from rotinv import autodiff as ad
 from rotinv import checks
 from rotinv.dataset import DatasetSpec, generate_dataset
 from rotinv.harness import (DivergenceError, Protocol, RunReport, TrainConfig,
@@ -90,6 +91,10 @@ class TestTraining:
         alive = []      # was it still alive when the next forward or sink ran?
 
         def tracked_forward(*args, **kwargs):
+            # the epoch probe's untaped forwards belong to the step whose
+            # tape they compare against; only training forwards are tracked
+            if not ad._grad_enabled:
+                return forward(*args, **kwargs)
             alive.extend(ref() is not None for ref in last[-1:])
             out = forward(*args, **kwargs)
             last.append(weakref.ref(out.prediction_logits))
@@ -101,9 +106,8 @@ class TestTraining:
         model.forward = tracked_forward
         train_model(model, quick_dataset, Protocol("z", "so3"), QUICK_TRAIN,
                     seed=0, jsonl_sink=sink)
-        # 8 sink calls, and 8 forwards (2 of them epoch probes) after the
-        # first step's forward and its probe
-        assert len(alive) == 8 + 8
+        # 8 sink calls, and the 7 training forwards after the first
+        assert len(alive) == 8 + 7
         assert not any(alive)
 
     @pytest.mark.parametrize("clip_norm", [0.0, 0.05, 5.0])
@@ -142,6 +146,14 @@ class TestRunExperiment:
         back = RunReport.from_json(report.to_json())
         assert back.accuracy == report.accuracy
         assert back.replay_digest() == report.replay_digest()
+
+    def test_final_probe_is_the_invariance_defect_helper(self, quick_dataset):
+        models = []
+        report = run_experiment(named_config("full", **TINY_MODEL),
+                                Protocol("z", "so3", repeats=1), quick_dataset,
+                                QUICK_TRAIN, seed=0, model_out=models)
+        assert report.final_diagnostics["invariance_defect"] == invariance_defect(
+            models[0], quick_dataset.test[:4], 1, seed=0)
 
     def test_accuracy_gap_requires_paired_seeds(self, quick_dataset):
         cfg = named_config("identity-frames", **TINY_MODEL)
@@ -238,7 +250,10 @@ class TestAcceptanceTrainings:
 
 
 class NanOnRotationModel:
-    """Stub model: class-0 logits on its first forward, NaN afterwards."""
+    """Stub model: class-0 logits on its first forward, NaN afterwards;
+    it measures invariance with the real model's loop."""
+
+    _invariance_defect = FusionModel._invariance_defect
 
     def __init__(self):
         self.calls = 0

@@ -372,12 +372,14 @@ class TestForward:
 
     def test_diagnostics_present(self, rng, tiny_config):
         model = FusionModel(tiny_config)
-        out = model.forward(centered_cloud_batch(rng), measure_invariance=True)
+        points = centered_cloud_batch(rng)
+        out = model.forward(points)
         for key in ("degenerate_fraction", "orthogonality_residual",
-                    "consistency_axis1", "consistency_axis2",
-                    "invariance_defect"):
+                    "consistency_axis1", "consistency_axis2"):
             assert key in out.diagnostics
-        assert out.diagnostics["invariance_defect"] <= 1e-6
+        defect, stable = model._invariance_defect(
+            points, 1, np.random.default_rng(0), out.prediction_logits.data)
+        assert defect <= 1e-6 and stable
 
     def test_handcrafted_frames_report_fallback_points(self, rng):
         # the seventh point sits at the centroid, so its radial axis is zero
