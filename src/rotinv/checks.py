@@ -109,14 +109,15 @@ def check_equivariance(n_pairs: int = 100, seed: int = 0) -> CheckResult:
             v_rot = encoder(ad.Tensor(pts @ rot.T), knn).data
         expect = np.einsum("ij,bnjc->bnic", rot, v)
         defect = np.abs(v_rot - expect).max() / max(np.abs(v).max(), 1e-12)
-        worst = max(worst, float(defect))
+        worst = np.maximum(worst, defect)
 
         pair = _random_valid_pairs(64, rng)
         frame = fr.lcrf_frame(pair)
         frame_rot = fr.lcrf_frame(pair.rotated(rot))
         expect_frame = np.einsum("ij,njk->nik", rot, frame.data)
         defect = np.abs(frame_rot.data - expect_frame).max()
-        worst = max(worst, float(defect))
+        worst = np.maximum(worst, defect)
+    worst = float(worst)
     return CheckResult(worst <= 1e-9, worst, 1e-9,
                        f"{n_pairs} cloud/rotation pairs", time.time() - started)
 
@@ -205,7 +206,7 @@ def check_gradient_suite(seed: int = 0) -> CheckResult:
     for name, f in [("orthogonality", orth), ("orthogonality-squared", orth_sq),
                     ("consistency", consist)]:
         err = check_tensor_gradient(f, raw)
-        worst = max(worst, err)
+        worst = np.maximum(worst, err)
         details.append(f"{name}={err:.2g}")
 
     def gs_loss(t: ad.Tensor) -> ad.Tensor:
@@ -276,7 +277,7 @@ def check_gradient_suite(seed: int = 0) -> CheckResult:
                     ("gated-inv-edge-conv", gated_edge_loss),
                     ("rpr-code", rpr_code_loss)]:
         err = check_tensor_gradient(f, raw)
-        worst = max(worst, err)
+        worst = np.maximum(worst, err)
         details.append(f"{name}={err:.2g}")
 
     # Whole-model directional derivative of the total loss, all heads active.
@@ -309,10 +310,11 @@ def check_gradient_suite(seed: int = 0) -> CheckResult:
             err = directional_derivative_error(
                 build_loss, model.parameters(),
                 np.random.default_rng([seed, probe]), step=1e-5)
-            row_worst = max(row_worst, err)
-        worst = max(worst, row_worst)
+            row_worst = np.maximum(row_worst, err)
+        worst = np.maximum(worst, row_worst)
         details.append(f"{row}={row_worst:.2g}")
 
+    worst = float(worst)
     return CheckResult(worst <= tol, worst, tol,
                        "; ".join(details), time.time() - started)
 

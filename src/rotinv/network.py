@@ -3,6 +3,7 @@ a relative-pose gate on later edge convolutions, attention fusion with the
 equivariant branch, and the combined training loss."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -12,8 +13,9 @@ from . import autodiff as ad
 from . import frames as fr
 from .autodiff import Parameter, Tensor
 from .geometry import knn_graph, sample_rotation_so3
-from .vecneuron import (EquivariantEncoder, batch_rows, gather_neighbors,
-                        over_clouds, seeded_normal, vn_invariant_head)
+from .vecneuron import (EquivariantEncoder, batch_rows, cloud_blocks,
+                        gather_neighbors, join_blocks, over_clouds,
+                        scatter_block, seeded_normal, vn_invariant_head)
 
 FRAME_KINDS = ("identity", "handcrafted", "gram-schmidt", "lcrf")
 RPR_SOURCES = ("off", "coordinate", "handcrafted-ppf", "equivariant", "invariant")
@@ -197,11 +199,15 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
     gives every parent's gradient, and the node's one gradient callback
     yields each in parent order, so none outlives its use in backward.
 
-    The forward runs the gather, gate, hidden layer, fc2 and max
-    `over_clouds`: one cloud at a time under `no_grad`, so each per-edge
-    array stays in cache, and the whole batch when recorded, as backward
-    needs it.  Every product is a stack of per-edge rows, so the blocked
-    forward is bit-identical to the recorded one at every shape.
+    Forward and backward run over the same `cloud_blocks` of the batch: the
+    whole batch when its per-edge arrays are small, else one cloud at a
+    time, so each per-edge array stays in cache.  The forward writes each
+    block's max and K-argmax to its rows; backward writes each block's
+    gradients of x, the neighbour features and the code to their rows and
+    adds the weight and bias gradients over blocks in cloud order.  Every
+    per-edge product is a stack of per-edge rows, so the output and those
+    per-point and per-edge gradients are bit-identical to one block's at
+    every shape; the weight and bias gradients move by rounding.
     """
     b, n, c = x.shape
     w1, b1 = fc1.weight.data, fc1.bias.data
@@ -230,13 +236,13 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
 
     # each helper takes the clouds `blk` and, in the blocked forward, the
     # per-cloud buffers its per-edge results are written to
-    def neighbor_features(blk=slice(None), out=None) -> np.ndarray:
+    def neighbor_features(blk, out=None) -> np.ndarray:
         if not gathered:
             return neighbors.data[blk]
         # batch_rows has checked every index
         return np.take(flat_x, rows[blk], axis=0, out=out, mode="clip")
 
-    def gate_terms(xj: np.ndarray, blk=slice(None), out=None):
+    def gate_terms(xj: np.ndarray, blk, out=None):
         """The gate's per-edge input, hidden layer and output."""
         out = out or {}
         if code is None:
@@ -250,18 +256,18 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
         gated += gate.fc2.bias.data
         return inp, hid, gated
 
-    def hidden(edges: np.ndarray, blk=slice(None), out=None) -> np.ndarray:
+    def hidden(edges: np.ndarray, blk, out=None) -> np.ndarray:
         center = x_i[blk] @ w_ab
         center += b1
         h = np.matmul(edges, w_b, out=out)
         h += center
         return np.maximum(h, 0.0, out=h)
 
-    recorded = ad.recording(parents.values())
-    idx = None
+    # the K-argmax of every output, written block by block
+    idx = (np.zeros((b, n, 1) + w2.shape[1:], dtype=np.int64)
+           if ad.recording(parents.values()) else None)
 
     def block(blk, out):
-        nonlocal idx
         edges = neighbor_features(blk, out.get("xj"))
         if gate is not None:
             # only the gate's output outlives gate_terms, and it takes the
@@ -275,16 +281,14 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
         y = np.matmul(h, w2, out=out.get("y"))
         del h
         top = y.max(axis=2)
-        if recorded:
-            # the one full-batch block.  The first neighbour that reaches
-            # the max, as np.argmax picks it: one compare per neighbour costs
-            # about half of an argmax over a middle axis, which copies the
-            # array (a NaN max matches none, so its gradient goes to
-            # neighbour 0)
-            first = np.zeros(top.shape, dtype=np.int64)
+        if idx is not None:
+            # the first neighbour that reaches the max, as np.argmax picks
+            # it: one compare per neighbour costs about half of an argmax
+            # over a middle axis, which copies the array (a NaN max matches
+            # none, so its gradient goes to neighbour 0)
+            first = idx[blk, :, 0]
             for k in reversed(range(y.shape[2])):
                 first[y[:, :, k] == top] = k
-            idx = first[:, :, None]
         return top
 
     edge = (1, n, neighbors.shape[2])        # one cloud's per-edge arrays
@@ -295,20 +299,23 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
         buffers.update(hid=edge + gate.fc1.weight.shape[1:], gate=edge + (c,))
         if code is None:
             buffers["inp"] = edge + (c,)
-    out = over_clouds(parents.values(), b, block, **buffers)
+    blocks = cloud_blocks(b, max(buffers.values(), key=math.prod))
+    out = over_clouds(blocks, block, **buffers)
     out += b2
 
-    def gradients(g: np.ndarray) -> dict[str, np.ndarray]:
-        """Every parent's gradient that backward will ask for."""
-        xj = neighbor_features()
+    def gradients(g: np.ndarray, blk: slice) -> dict[str, np.ndarray]:
+        """Every parent's gradient that backward will ask for, from the
+        clouds `blk`."""
+        g = g[blk]
+        xj = neighbor_features(blk)
         if gate is None:
             edges = xj
         else:
-            inp, hid, gate_out = gate_terms(xj)
+            inp, hid, gate_out = gate_terms(xj, blk)
             edges = gate_out * xj
-        h = hidden(edges)
+        h = hidden(edges, blk)
         gy = np.zeros(h.shape[:3] + w2.shape[1:])
-        np.put_along_axis(gy, idx, g[:, :, None], axis=2)
+        np.put_along_axis(gy, idx[blk], g[:, :, None], axis=2)
         grads = {"w2": h.reshape(-1, h.shape[-1]).T @ gy.reshape(-1, gy.shape[-1]),
                  "b2": g.sum(axis=(0, 1))}
         live = h > 0
@@ -325,8 +332,8 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
             g_edge = gh @ w_b.T
         del gh
         if x.requires_grad:
-            grads["x"] = (g_center @ w_ab.T).reshape(x.shape)
-        g_ab = x_i.reshape(-1, c).T @ g_center.reshape(-1, g_center.shape[-1])
+            grads["x"] = (g_center @ w_ab.T).reshape(g.shape[:2] + (c,))
+        g_ab = x_i[blk].reshape(-1, c).T @ g_center.reshape(-1, g_center.shape[-1])
         grads["w1"] = np.concatenate([g_ab, g_wb - g_ab])
         grads["b1"] = g_center.sum(axis=(0, 1, 2))
         if gate is not None:
@@ -356,17 +363,20 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
                     grads["x"] += np.negative(g_code, out=g_code).sum(axis=2)
                 del g_code
             elif code.requires_grad:
-                grads["code"] = (g_hid @ gate.fc1.weight.data.T).reshape(code.shape)
+                grads["code"] = (g_hid @ gate.fc1.weight.data.T).reshape(
+                    g.shape[:2] + code.shape[2:])
             del g_hid
         if not gathered:
             if neighbors.requires_grad:
                 grads["xj"] = g_edge
         elif x.requires_grad:
-            grads["x"] += ad.scatter_rows(g_edge, rows, b * n).reshape(x.shape)
+            grads["x"] += scatter_block(g_edge, rows, blk, n).reshape(
+                g.shape[:2] + (c,))
         return grads
 
     def grads(g):
-        computed = gradients(g)
+        computed = join_blocks(blocks, lambda blk: gradients(g, blk),
+                               ("x", "xj", "code"))
         for name, parent in parents.items():
             if parent.requires_grad:
                 yield computed.pop(name)
@@ -387,10 +397,10 @@ def rpr_code(frame: fr.Frame, equivariant: Tensor, knn: np.ndarray) -> Tensor:
     the points as one vector channel, (B, N, 3, 1).  One tape node that
     keeps only its per-point parents; its one gradient callback forms the
     differences again with the same arithmetic for the frame's gradient,
-    then scatters the features' gradient back to rows.  The
-    forward forms the differences and projects them `over_clouds`, one
-    cloud at a time under `no_grad` (bit-identical: the projection is a
-    stack of 3 x 3 products).
+    then scatters the features' gradient back to rows.  Forward and backward
+    run over the same `cloud_blocks` of the batch, each block's code and
+    gradients written to their rows; both are per-point or per-edge stacks
+    of 3 x 3 products, so they are bit-identical to one block's.
     """
     b, n = equivariant.shape[0], equivariant.shape[1]
     rows = batch_rows(knn, b, n)
@@ -398,28 +408,37 @@ def rpr_code(frame: fr.Frame, equivariant: Tensor, knn: np.ndarray) -> Tensor:
     flat = v.reshape((b * n,) + v.shape[2:])
     ut = np.swapaxes(frame.matrix.data, -1, -2).reshape(b, n, 1, 3, 3)
 
-    def diff(blk=slice(None)) -> np.ndarray:
+    def diff(blk) -> np.ndarray:
         d = flat[rows[blk]]
         d -= v.reshape((b, n, 1) + v.shape[2:])[blk]
         return d
 
-    def grads(g):
+    def gradients(g, blk):
+        g = g[blk]
+        grads = {}
         if frame.matrix.requires_grad:
-            g_ut = (g @ np.swapaxes(diff(), -1, -2)).sum(axis=2)
-            yield np.swapaxes(g_ut, -1, -2)
+            g_ut = (g @ np.swapaxes(diff(blk), -1, -2)).sum(axis=2)
+            grads["frame"] = np.swapaxes(g_ut, -1, -2)
         if equivariant.requires_grad:
-            g_diff = np.swapaxes(ut, -1, -2) @ g
-            grad = ad.scatter_rows(g_diff, rows, b * n).reshape(v.shape)
+            g_diff = np.swapaxes(ut[blk], -1, -2) @ g
+            grad = scatter_block(g_diff, rows, blk, n).reshape(v[blk].shape)
             grad += np.negative(g_diff, out=g_diff).sum(axis=2)
-            # g_diff dies before backward adds up the gradient: kept alive, it
-            # read default-train peak RSS 268-276 MiB at seed 9 (parent 250)
-            del g_diff
-            yield grad
+            grads["v"] = grad
+        return grads
+
+    def grads(g):
+        computed = join_blocks(blocks, lambda blk: gradients(g, blk),
+                               ("frame", "v"))
+        if frame.matrix.requires_grad:
+            yield computed.pop("frame")
+        if equivariant.requires_grad:
+            yield computed.pop("v")
 
     # frame first: backward's depth-first walk then reaches the features'
     # subgraph before the frame's, as through the op-by-op form
     parents = (frame.matrix, equivariant)
-    out = over_clouds(parents, b, lambda blk, _: ut[blk] @ diff(blk))
+    blocks = cloud_blocks(b, (1, n, knn.shape[2]) + v.shape[2:])
+    out = over_clouds(blocks, lambda blk, _: ut[blk] @ diff(blk))
     return ad._from_grads(out, "rpr_code", parents, grads)
 
 

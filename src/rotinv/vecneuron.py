@@ -7,6 +7,7 @@ co-rotates with the input.  Batched point features are (B, N, 3, C).
 """
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -45,28 +46,73 @@ def batch_rows(knn: np.ndarray, b: int, n: int) -> np.ndarray:
     return idx + (np.arange(b) * n)[:, None, None]
 
 
-def over_clouds(parents, b: int, block, **buffers) -> np.ndarray:
-    """A per-edge node's forward, `block(blk, out)` for a slice `blk` of the
-    batch's clouds: called once on the whole batch when the graph records
-    the node, else once per cloud and joined along axis 0.
+# Bytes that a per-edge node's largest per-edge array may take over the whole
+# batch for the node to run the batch as one block (see `cloud_blocks`).
+BLOCK_BYTES = 4 << 20
+
+
+def cloud_blocks(b: int, edge_shape) -> list[slice]:
+    """The blocks of a batch of `b` clouds that a per-edge node's forward
+    and backward both run over: the whole batch when its largest per-edge
+    array, of one-cloud shape `edge_shape`, fits in `BLOCK_BYTES` for all
+    `b` clouds, else one block per cloud.
 
     Per cloud, the (N, K, ...) per-edge arrays of a default-size model take
-    1-2 MiB and stay in cache; over a batch of 32 they take 32 MiB each and
+    1-2 MiB and stay in cache; over a batch of 16 they take 32 MiB each and
     go out to DRAM (cache blocking, Lam, Rothberg & Wolf, ASPLOS 1991).
-
-    `out` maps each name of `buffers` to an array of the one-cloud shape
-    given there, allocated once and written by every cloud in turn; on the
-    whole batch it is empty and each op allocates its own result, as the
-    node did before it was blocked.  Fresh per-edge arrays for each cloud,
-    made while a training step's graph is alive (the invariance probe),
-    fragmented the heap: default-train peak RSS spread from 241 to 276 MiB
-    against 244-251 MiB.  A recorded forward keeps one block, as its
-    backward rebuilds the per-edge arrays for the whole batch.
     """
-    if b <= 1 or ad.recording(parents):
-        return block(slice(None), {})
-    out = {name: np.empty(shape) for name, shape in buffers.items()}
-    return np.concatenate([block(slice(i, i + 1), out) for i in range(b)])
+    if b * math.prod(edge_shape) * 8 <= BLOCK_BYTES:
+        return [slice(0, b)]
+    return [slice(i, i + 1) for i in range(b)]
+
+
+def over_clouds(blocks: list[slice], block, **buffers) -> np.ndarray:
+    """A per-edge node's forward, `block(blk, out)` for each slice `blk` of
+    the batch's clouds in `blocks` (see `cloud_blocks`), each result written
+    to its rows of one (B, ...) output.
+
+    With more than one block, `out` maps each name of `buffers` to an array
+    of the one-cloud shape given there, allocated once and written by every
+    cloud in turn; with one, it is empty and each op allocates its own
+    result.  Fresh per-edge arrays for each cloud, made while a training
+    step's graph is alive (the invariance probe), fragmented the heap:
+    default-train peak RSS spread from 241 to 276 MiB against 244-251 MiB.
+    """
+    out = ({name: np.empty(shape) for name, shape in buffers.items()}
+           if len(blocks) > 1 else {})
+    return join_blocks(blocks, lambda blk: {"out": block(blk, out)}, ("out",))["out"]
+
+
+def join_blocks(blocks: list[slice], block,
+                per_cloud: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Run `block(blk)` for each slice `blk` of the batch's clouds in
+    `blocks` and join the arrays it returns by name: those named in
+    `per_cloud` (per point or per edge; the forward's output, the gradients
+    of features) are written to their rows of one (B, ...) array, the
+    others (weight and bias gradients) are added up over the blocks in cloud
+    order.  One block's arrays are returned as they are."""
+    if len(blocks) == 1:
+        return block(blocks[0])
+    total: dict[str, np.ndarray] = {}
+    for blk in blocks:
+        for name, part in block(blk).items():
+            if name in per_cloud:
+                if name not in total:
+                    total[name] = np.empty((blocks[-1].stop,) + part.shape[1:])
+                total[name][blk] = part
+            elif name in total:
+                total[name] += part
+            else:
+                total[name] = part
+    return total
+
+
+def scatter_block(g: np.ndarray, rows: np.ndarray, blk: slice,
+                  n: int) -> np.ndarray:
+    """`ad.scatter_rows` of the per-edge gradient `g` of the clouds `blk`,
+    gathered from `rows[blk]` of the flattened batch of N-point clouds,
+    onto the rows of those clouds alone."""
+    return ad.scatter_rows(g, rows[blk] - blk.start * n, (blk.stop - blk.start) * n)
 
 
 def gather_neighbors(features: Tensor, knn: np.ndarray) -> Tensor:
@@ -107,15 +153,18 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
     direction from that one pass.  The difference channel cancels any
     constant offset added to all points.
 
-    The forward builds the per-edge terms `over_clouds`: one cloud at a
-    time under `no_grad`, the whole batch when recorded, and checks every
-    block's k_hat for non-finite values.  The direction product is one BLAS
-    gemv over the N * K * 3 rows of a block, which takes rows in groups of
-    4 and its last rows through another kernel.  So with N * K not a
-    multiple of 4 a one-cloud block regroups rows and can change their last
-    bit (at most 1.7e-16 of the output's largest value over 300 random
-    shapes); at every other shape the blocked forward is bit-identical to
-    the recorded one.
+    Forward and backward run over the same `cloud_blocks` of the batch: one
+    block when the batch's per-edge arrays are small, else one per cloud.
+    The forward checks every block's k_hat for non-finite values; backward
+    writes each block's gradient of v and adds the weight and direction
+    gradients over blocks in cloud order, so against one block their
+    rounding moves.  The direction product is one BLAS gemv over the
+    N * K * 3 rows of a block, which takes rows in groups of 4 and its last
+    rows through another kernel.  So with N * K not a multiple of 4 a
+    one-cloud block regroups rows and can change their last bit (at most
+    1.7e-16 of the output's largest value over 300 random shapes); at every
+    other shape the output and the gradient of v are bit-identical to one
+    block's.
     """
     b, n, _, c = v.shape
     n_nbr = knn.shape[-1]
@@ -130,7 +179,7 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
     neighbor = (flat_v @ w_b).reshape(b * n, 3, cout)
     center = (flat_v @ w_ab).reshape(b, n, 1, 3, cout)
 
-    def edges(blk=slice(None), out=None):
+    def edges(blk, out=None):
         """Per edge of the clouds in `blk`: m (written to `out` if given),
         k, |k|, max(|k|, eps), k_hat and min(m . k_hat, 0)."""
         # (B, N, K, 3, Cout); batch_rows has checked every index
@@ -152,14 +201,16 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
         total -= np.einsum("bnkxc,bnkdx->bndc", trunc, khat)
         return total
 
-    out = over_clouds((v, weight, direction), b, block, m=(1, n, n_nbr, 3, cout))
+    edge = (1, n, n_nbr, 3, cout)             # one cloud's m
+    blocks = cloud_blocks(b, edge)
+    out = over_clouds(blocks, block, m=edge)
     out *= 1.0 / n_nbr
 
-    def shared(g):
-        """The centre, neighbour and direction gradients; every per-edge
-        array dies when this returns."""
-        m, k, norm, guarded, khat, trunc = edges()
-        g_edge = g * (1.0 / n_nbr)        # each edge's share of the mean
+    def shared(g, blk):
+        """The centre, neighbour and direction gradients of the clouds
+        `blk`; every per-edge array dies when this returns."""
+        m, k, norm, guarded, khat, trunc = edges(blk)
+        g_edge = g[blk] * (1.0 / n_nbr)   # each edge's share of the mean
         # d out / d (m . k_hat) = -k_hat where m . k_hat < 0, else 0
         gdot = np.einsum("bndc,bnkdx->bnkxc", g_edge, khat)
         gdot *= trunc < 0
@@ -180,30 +231,40 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
         # the direction's term gk w^T is rank one over the channels, so it
         # is summed and scattered at width one and widened after
         g_center = gm.sum(axis=2) + gk.sum(axis=2) * w_dir.T
-        g_neighbor = (ad.scatter_rows(gm, rows, b * n)
-                      + ad.scatter_rows(gk, rows, b * n) * w_dir.T)
+        g_neighbor = (scatter_block(gm, rows, blk, n)
+                      + scatter_block(gk, rows, blk, n) * w_dir.T)
         return g_center.reshape(-1, cout), g_neighbor.reshape(-1, cout), g_dir
 
     kept: list = []
 
-    def grads(g):
-        g_center, g_neighbor, g_dir = shared(g)
-        # g and the three gradients are kept until the tape dies: freed
-        # when backward leaves the node, they moved the heap's layout and
-        # default-train peak RSS read 255 MiB at each of seeds 1-6 and 9,
-        # against a median of 249 over seeds 1-12 when kept (parent 251)
+    def block_grads(g, blk):
+        g_center, g_neighbor, g_dir = shared(g, blk)
+        # g and the block's three gradients are kept until the next block or
+        # until the tape dies: freed when the callback returns, they let the
+        # allocator trim the heap and fault it back in every step (desk-train
+        # about 4100 minor page faults per step against 300-1100 kept, and
+        # step_s.p50 10-20% slower at seeds 3, 5 and 6)
         kept[:] = (g, g_center, g_neighbor, g_dir)
+        grads = {"direction": g_dir}
         if v.requires_grad:
             grad = g_neighbor @ w_b.T
             grad += g_center @ w_ab.T
-            yield grad.reshape(v.shape)
+            grads["v"] = grad.reshape((-1,) + v.shape[1:])
         if weight.requires_grad:
-            g_ab = flat_v.T @ g_center
-            yield np.concatenate([g_ab, flat_v.T @ g_neighbor - g_ab])
-        if direction.requires_grad:
-            yield g_dir
+            v_blk = v.data[blk].reshape(-1, c)
+            g_ab = v_blk.T @ g_center
+            grads["weight"] = np.concatenate([g_ab, v_blk.T @ g_neighbor - g_ab])
+        return grads
 
-    return ad._from_grads(out, "vn_edge_conv", (v, weight, direction), grads)
+    parents = {"v": v, "weight": weight, "direction": direction}
+
+    def grads(g):
+        computed = join_blocks(blocks, lambda blk: block_grads(g, blk), ("v",))
+        for name, parent in parents.items():
+            if parent.requires_grad:
+                yield computed.pop(name)
+
+    return ad._from_grads(out, "vn_edge_conv", tuple(parents.values()), grads)
 
 
 class VnEdgeConv:

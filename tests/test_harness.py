@@ -221,6 +221,37 @@ class TestEvaluation:
         assert np.isnan(result.statistic)
         assert "stable=False" in result.detail
 
+    def test_equivariance_check_fails_on_nan_encoder_defect(self, monkeypatch):
+        class NanEncoder:
+            def __init__(self, widths, seed):
+                pass
+
+            def __call__(self, points, knn):
+                return SimpleNamespace(data=np.full(points.shape + (2,), np.nan))
+
+        monkeypatch.setattr(checks, "EquivariantEncoder", NanEncoder)
+        result = checks.check_equivariance(n_pairs=2, seed=0)
+        assert not result.passed and np.isnan(result.statistic)
+
+    def test_equivariance_check_fails_on_nan_frame_defect(self, monkeypatch):
+        monkeypatch.setattr(checks.fr, "lcrf_frame",
+                            lambda pair: SimpleNamespace(
+                                data=np.full(pair.v1.shape + (3,), np.nan)))
+        result = checks.check_equivariance(n_pairs=2, seed=0)
+        assert not result.passed and np.isnan(result.statistic)
+
+    @pytest.mark.parametrize("oracle", ("check_tensor_gradient",
+                                        "directional_derivative_error"))
+    def test_gradient_suite_fails_on_nan_error(self, monkeypatch, oracle):
+        # one oracle reports NaN for every case and the other 0: the NaN is
+        # the suite's statistic, whichever loop saw it
+        for name in ("check_tensor_gradient", "directional_derivative_error"):
+            monkeypatch.setattr(checks, name,
+                                lambda *args, nan=name == oracle, **kw:
+                                np.nan if nan else 0.0)
+        result = checks.check_gradient_suite(seed=0)
+        assert not result.passed and np.isnan(result.statistic)
+
 
 class TestAcceptanceTrainings:
     @pytest.fixture

@@ -1,4 +1,3 @@
-import contextlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 from rotinv import autodiff as ad
 from rotinv import frames as fr
-from rotinv import network
+from rotinv import network, vecneuron
 from rotinv.checks import ACCEPTANCE_MODEL
 from rotinv.geometry import knn_graph, sample_rotation_so3
 from rotinv.gradcheck import check_tensor_gradient
@@ -19,7 +18,7 @@ from rotinv.network import (COMPONENT_ABLATION_ROWS, FRAME_ABLATION_ROWS,
                             total_loss)
 from rotinv.vecneuron import gather_neighbors
 
-from conftest import BLOCK_SHAPES, TINY_MODEL
+from conftest import BLOCK_SHAPES, TINY_MODEL, assert_blocks_agree
 
 
 def centered_cloud_batch(rng, b=2, n=20):
@@ -163,7 +162,7 @@ class TestPoseCodes:
         assert np.array_equal(out.data, ref.data)
         assert np.array_equal(grad, ref_grad)
 
-    def test_constant_inputs_record_nothing(self, rng):
+    def test_constant_inputs_record_nothing(self, rng, per_cloud):
         _, knn, veq, frame = self.make_inputs(rng)
         code = rpr_code(frame, ad.Tensor(veq), knn)
         assert not code.requires_grad and code._parents == ()
@@ -173,21 +172,32 @@ class TestPoseCodes:
                              ad.Tensor(veq, requires_grad=True), knn)
         assert not plain.requires_grad and plain._parents == ()
         assert np.array_equal(plain.data, code.data)
-        # unrecorded, the node runs one cloud at a time: the recorded
-        # full-batch bits at every shape
+        # unrecorded and one cloud per block, the node gives the recorded
+        # one-block bits at every shape
         for b, n, k in BLOCK_SHAPES:
             matrix = np.linalg.qr(rng.standard_normal((b, n, 3, 3)))[0]
             v = rng.standard_normal((b, n, 3, 2))
             knn = rng.integers(0, n, (b, n, k))
-            runs = []
-            for recording in (True, False):
-                with contextlib.nullcontext() if recording else ad.no_grad():
-                    runs.append(rpr_code(
-                        fr.Frame(ad.Tensor(matrix, requires_grad=True), "lcrf"),
-                        ad.Tensor(v, requires_grad=True), knn))
-            recorded, plain = runs
+            def code():
+                return rpr_code(fr.Frame(ad.Tensor(matrix, requires_grad=True),
+                                         "lcrf"),
+                                ad.Tensor(v, requires_grad=True), knn)
+
+            recorded = code()
+            with ad.no_grad(), per_cloud():
+                plain = code()
             assert recorded.requires_grad and not plain.requires_grad
             assert np.array_equal(plain.data, recorded.data)
+
+    @pytest.mark.parametrize("b,n,k", BLOCK_SHAPES)
+    def test_one_cloud_per_block_matches_one_block(self, rng, per_cloud, b, n, k):
+        knn = rng.integers(0, n, (b, n, k))
+        knn[0, 1] = 3                             # one neighbour K times
+        assert_blocks_agree(
+            per_cloud,
+            lambda clouds, m, v: rpr_code(fr.Frame(m, "lcrf"), v, knn[clouds]),
+            [rng.standard_normal((b, n, 3, 3)), rng.standard_normal((b, n, 3, 2))],
+            [])
 
     def test_out_of_range_neighbour_rejected(self, rng):
         _, knn, veq, frame = self.make_inputs(rng)
@@ -555,9 +565,9 @@ class TestGatedEdgeConv:
         assert grads[0] is None
 
     @pytest.mark.parametrize("source", ("equivariant", "invariant", "ungated"))
-    def test_no_grad_records_no_parent(self, rng, source):
-        # the unrecorded forward runs one cloud at a time and gives the
-        # recorded full-batch bits at every shape
+    def test_no_grad_records_no_parent(self, rng, per_cloud, source):
+        # the unrecorded forward, one cloud per block, gives the recorded
+        # one-block bits at every shape
         gated = source != "ungated"
         for b, n, k in BLOCK_SHAPES:
             case = self.inputs(rng, source if gated else "invariant", b=b, n=n, k=k)
@@ -566,12 +576,35 @@ class TestGatedEdgeConv:
                     else ad.Tensor(case["code"], True))
             recorded = inv_edge_conv(ad.Tensor(case["x"], True), case["knn"],
                                      fc1, fc2, gate, code)
-            with ad.no_grad():
+            with ad.no_grad(), per_cloud():
                 plain = inv_edge_conv(ad.Tensor(case["x"], True), case["knn"],
                                       fc1, fc2, gate, code)
             assert recorded.requires_grad and recorded._parents
             assert not plain.requires_grad and plain._parents == () and plain._grads is None
             assert np.array_equal(plain.data, recorded.data)
+
+    @pytest.mark.parametrize("b,n,k", BLOCK_SHAPES)
+    @pytest.mark.parametrize("source", sorted(CODE_SHAPES) + ["ungated"])
+    def test_one_cloud_per_block_matches_one_block(self, rng, per_cloud, source,
+                                                   b, n, k):
+        gated = source != "ungated"
+        case = self.inputs(rng, source if gated else "invariant", b=b, n=n, k=k)
+        with_code = gated and case["code"] is not None
+        params = case["params"] if gated else case["params"][:4]
+
+        def node(clouds, x, *leaves):
+            code = leaves[0] if with_code else None
+            w = leaves[with_code:]
+
+            def layer(i):
+                return SimpleNamespace(weight=w[i], bias=w[i + 1])
+
+            gate = SimpleNamespace(fc1=layer(4), fc2=layer(6)) if gated else None
+            return inv_edge_conv(x, case["knn"][clouds], layer(0), layer(2),
+                                 gate, code)
+
+        per_point = [case["x"]] + ([case["code"]] if with_code else [])
+        assert_blocks_agree(per_cloud, node, per_point, params)
 
     @pytest.mark.parametrize("bad", (9, -1))
     def test_out_of_range_neighbour_rejected(self, rng, bad):
@@ -660,10 +693,10 @@ def test_fused_model_matches_composed_model(rng, monkeypatch, row):
 
 @pytest.mark.parametrize("graph_metric", GRAPH_METRICS)
 @pytest.mark.parametrize("row", sorted(NAMED_CONFIGS))
-def test_no_grad_forward_matches_recorded(rng, row, graph_metric):
-    # inference runs each per-edge node one cloud at a time and training
-    # one full batch; at desk size (N * K = 480) they give the same bits, at
-    # the initial gates and at perturbed ones
+def test_no_grad_forward_matches_recorded(rng, per_cloud, row, graph_metric):
+    # inference with each per-edge node one cloud per block and training
+    # with the one block the desk profile takes give the same bits at desk
+    # size (N * K = 480), at the initial gates and at perturbed ones
     model = FusionModel(named_config(row, graph_metric=graph_metric,
                                      **ACCEPTANCE_MODEL))
     pts = rng.standard_normal((8, 48, 3))
@@ -672,7 +705,7 @@ def test_no_grad_forward_matches_recorded(rng, row, graph_metric):
             for p in model.parameters():
                 p.data = p.data + 0.3 * rng.standard_normal(p.shape)
         recorded = model.forward(pts)
-        with ad.no_grad():
+        with ad.no_grad(), per_cloud():
             plain = model.forward(pts)
         assert recorded.prediction_logits.requires_grad
         assert not plain.prediction_logits.requires_grad
@@ -680,6 +713,31 @@ def test_no_grad_forward_matches_recorded(rng, row, graph_metric):
             a, r = getattr(plain, head), getattr(recorded, head)
             assert (a is None) == (r is None), head
             assert a is None or np.array_equal(a.data, r.data), (head, perturbed)
+
+
+@pytest.mark.parametrize("profile", ("desk", "default"))
+def test_block_rule(rng, monkeypatch, profile):
+    # a desk batch fits every per-edge node's one-block budget; at default
+    # size each node runs one cloud per block (one partition per node call,
+    # which its backward reuses)
+    if profile == "desk":
+        config, shape = named_config("full", **ACCEPTANCE_MODEL), (8, 48, 3)
+    else:
+        config, shape = named_config("full"), (16, 128, 3)
+    assert config.k == {"desk": 10, "default": 16}[profile]
+    counts, rule = [], vecneuron.cloud_blocks
+
+    def spy(*args):
+        blocks = rule(*args)
+        counts.append(len(blocks))
+        return blocks
+
+    monkeypatch.setattr(network, "cloud_blocks", spy)
+    monkeypatch.setattr(vecneuron, "cloud_blocks", spy)
+    with ad.no_grad():
+        FusionModel(config).forward(rng.standard_normal(shape))
+    # three encoder layers, psi, two gated layers and their two pose codes
+    assert counts == [1 if profile == "desk" else shape[0]] * 8
 
 
 def tape_nodes(*roots):

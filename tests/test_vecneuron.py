@@ -12,7 +12,7 @@ from rotinv.network import inv_edge_conv
 from rotinv.vecneuron import (EquivariantEncoder, VnEdgeConv, gather_neighbors,
                               vn_edge_conv, vn_invariant_head, vn_linear)
 
-from conftest import BLOCK_SHAPES
+from conftest import BLOCK_SHAPES, assert_blocks_agree
 
 
 def rotate_channels(rot, v):
@@ -207,13 +207,13 @@ class TestFusedVnNonlinearity:
         assert err.value.op == "vn_edge_conv"
 
     @pytest.mark.parametrize("b,n,k", BLOCK_SHAPES)
-    def test_no_grad_matches_recorded(self, rng, b, n, k):
+    def test_no_grad_matches_recorded(self, rng, per_cloud, b, n, k):
         v = rng.standard_normal((b, n, 3, 4))
         knn = rng.integers(0, n, (b, n, k))
         w = ad.Parameter("w", rng.standard_normal((8, 6)))
         d = ad.Parameter("d", rng.standard_normal((6, 1)))
         recorded = vn_edge_conv(ad.Tensor(v, requires_grad=True), knn, w, d)
-        with ad.no_grad():
+        with ad.no_grad(), per_cloud():
             plain = vn_edge_conv(ad.Tensor(v, requires_grad=True), knn, w, d)
         assert recorded.requires_grad and len(recorded._parents) == 3
         assert not plain.requires_grad and plain._parents == () and plain._grads is None
@@ -227,15 +227,26 @@ class TestFusedVnNonlinearity:
             # can change their last bit
             assert relative(plain.data, recorded.data) <= 1e-12
 
-    def test_non_finite_last_cloud_raises(self, rng):
-        # the unrecorded forward checks k_hat one cloud at a time; only the
-        # last cloud's overflows
+    @pytest.mark.parametrize("b,n,k", BLOCK_SHAPES)
+    def test_one_cloud_per_block_matches_one_block(self, rng, per_cloud, b, n, k):
+        knn = rng.integers(0, n, (b, n, k))
+        knn[0, 1] = 3                             # one neighbour K times
+        assert_blocks_agree(per_cloud,
+                            lambda clouds, v, w, d: vn_edge_conv(v, knn[clouds], w, d),
+                            [rng.standard_normal((b, n, 3, 4))],
+                            [rng.standard_normal((8, 6)),
+                             rng.standard_normal((6, 1))],
+                            exact=n * k % 4 == 0)
+
+    def test_non_finite_last_cloud_raises(self, rng, per_cloud):
+        # one cloud per block checks k_hat block by block; only the last
+        # cloud's overflows
         v = rng.standard_normal((3, 8, 3, 2))
         v[-1, 5] = 1e308
         knn = rng.integers(0, 8, (3, 8, 4))
         w = ad.Parameter("w", 10.0 * rng.standard_normal((4, 3)))
         d = ad.Parameter("d", rng.standard_normal((3, 1)))
-        with ad.no_grad(), np.errstate(all="ignore"), \
+        with ad.no_grad(), per_cloud(), np.errstate(all="ignore"), \
                 pytest.raises(ad.NumericError) as err:
             vn_edge_conv(ad.Tensor(v), knn, w, d)
         assert err.value.op == "vn_edge_conv"
@@ -418,9 +429,9 @@ class TestInvEdgeConv:
         # psi under identity frames sees constant geometry
         self.assert_bit_identical(self.inputs(rng), x_grad=False)
 
-    def test_no_grad_records_no_parent(self, rng):
-        # psi's per-edge input; the unrecorded forward runs one cloud at a
-        # time and gives the recorded full-batch bits at every shape
+    def test_no_grad_records_no_parent(self, rng, per_cloud):
+        # psi's per-edge input; the unrecorded forward, one cloud per block,
+        # gives the recorded one-block bits at every shape
         for b, n, k in BLOCK_SHAPES:
             x, xj, w1, b1, w2, b2, _ = self.inputs(rng, b=b, n=n, k=k)
             x[0, :, :] = 0.0                      # ties, as above
@@ -430,11 +441,23 @@ class TestInvEdgeConv:
             fc2 = SimpleNamespace(weight=ad.Parameter("w2", w2),
                                   bias=ad.Parameter("b2", b2))
             recorded = inv_edge_conv(ad.Tensor(x), ad.Tensor(xj), fc1, fc2)
-            with ad.no_grad():
+            with ad.no_grad(), per_cloud():
                 plain = inv_edge_conv(ad.Tensor(x), ad.Tensor(xj), fc1, fc2)
             assert recorded.requires_grad and len(recorded._parents) == 4
             assert not plain.requires_grad and plain._parents == () and plain._grads is None
             assert np.array_equal(plain.data, recorded.data)
+
+    @pytest.mark.parametrize("b,n,k", BLOCK_SHAPES)
+    def test_one_cloud_per_block_matches_one_block(self, rng, per_cloud, b, n, k):
+        x, xj, w1, b1, w2, b2, _ = self.inputs(rng, b=b, n=n, k=k)
+        x[0, :, :] = 0.0                          # ties in the max
+        xj[0, :, :] = 0.0
+
+        def node(clouds, x, xj, w1, b1, w2, b2):
+            return inv_edge_conv(x, xj, SimpleNamespace(weight=w1, bias=b1),
+                                 SimpleNamespace(weight=w2, bias=b2))
+
+        assert_blocks_agree(per_cloud, node, [x, xj], [w1, b1, w2, b2])
 
     def test_gradient(self, rng):
         x, xj, w1, b1, w2, b2, weights = self.inputs(rng, b=1, n=5, k=3, c=2,
