@@ -3,7 +3,6 @@ a relative-pose gate on later edge convolutions, attention fusion with the
 equivariant branch, and the combined training loss."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -13,9 +12,8 @@ from . import autodiff as ad
 from . import frames as fr
 from .autodiff import Parameter, Tensor
 from .geometry import knn_graph, sample_rotation_so3
-from .vecneuron import (EquivariantEncoder, batch_rows, cloud_blocks,
-                        gather_neighbors, join_blocks, over_clouds,
-                        scatter_block, seeded_normal, vn_invariant_head)
+from .vecneuron import (EquivariantEncoder, cloud_rows, gather_neighbors,
+                        over_clouds, seeded_normal, vn_invariant_head)
 
 FRAME_KINDS = ("identity", "handcrafted", "gram-schmidt", "lcrf")
 RPR_SOURCES = ("off", "coordinate", "handcrafted-ppf", "equivariant", "invariant")
@@ -199,15 +197,10 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
     gives every parent's gradient, and the node's one gradient callback
     yields each in parent order, so none outlives its use in backward.
 
-    Forward and backward run over the same `cloud_blocks` of the batch: the
-    whole batch when its per-edge arrays are small, else one cloud at a
-    time, so each per-edge array stays in cache.  The forward writes each
-    block's max and K-argmax to its rows; backward writes each block's
-    gradients of x, the neighbour features and the code to their rows and
-    adds the weight and bias gradients over blocks in cloud order.  Every
-    per-edge product is a stack of per-edge rows, so the output and those
-    per-point and per-edge gradients are bit-identical to one block's at
-    every shape; the weight and bias gradients move by rounding.
+    Forward and backward run one cloud at a time (`over_clouds`), so each
+    per-edge array stays in cache: the forward writes each cloud's max and
+    K-argmax to its rows, and backward adds the weight and bias gradients
+    over the clouds in cloud order.
     """
     b, n, c = x.shape
     w1, b1 = fc1.weight.data, fc1.bias.data
@@ -217,8 +210,7 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
     x_i = x.data.reshape(b, n, 1, c)
     gathered = not isinstance(neighbors, Tensor)
     if gathered:
-        rows = batch_rows(neighbors, b, n)
-        flat_x = x.data.reshape(b * n, c)
+        rows = cloud_rows(neighbors, n)
 
     parents = {"x": x}
     if not gathered:
@@ -234,13 +226,13 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
         # gradients in the same order
         parents = {"code": code, **parents}
 
-    # each helper takes the clouds `blk` and, in the blocked forward, the
-    # per-cloud buffers its per-edge results are written to
+    # each helper takes the cloud `blk` and, in the forward, the per-cloud
+    # buffers its per-edge results are written to
     def neighbor_features(blk, out=None) -> np.ndarray:
         if not gathered:
             return neighbors.data[blk]
-        # batch_rows has checked every index
-        return np.take(flat_x, rows[blk], axis=0, out=out, mode="clip")
+        # cloud_rows has checked every index
+        return np.take(x.data[blk.start], rows[blk], axis=0, out=out, mode="clip")
 
     def gate_terms(xj: np.ndarray, blk, out=None):
         """The gate's per-edge input, hidden layer and output."""
@@ -263,11 +255,11 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
         h += center
         return np.maximum(h, 0.0, out=h)
 
-    # the K-argmax of every output, written block by block
+    # the K-argmax of every output, written cloud by cloud
     idx = (np.zeros((b, n, 1) + w2.shape[1:], dtype=np.int64)
            if ad.recording(parents.values()) else None)
 
-    def block(blk, out):
+    def forward(blk, out):
         edges = neighbor_features(blk, out.get("xj"))
         if gate is not None:
             # only the gate's output outlives gate_terms, and it takes the
@@ -289,6 +281,7 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
             first = idx[blk, :, 0]
             for k in reversed(range(y.shape[2])):
                 first[y[:, :, k] == top] = k
+        top += b2
         return top
 
     edge = (1, n, neighbors.shape[2])        # one cloud's per-edge arrays
@@ -299,13 +292,10 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
         buffers.update(hid=edge + gate.fc1.weight.shape[1:], gate=edge + (c,))
         if code is None:
             buffers["inp"] = edge + (c,)
-    blocks = cloud_blocks(b, max(buffers.values(), key=math.prod))
-    out = over_clouds(blocks, block, **buffers)
-    out += b2
 
     def gradients(g: np.ndarray, blk: slice) -> dict[str, np.ndarray]:
         """Every parent's gradient that backward will ask for, from the
-        clouds `blk`."""
+        cloud `blk`."""
         g = g[blk]
         xj = neighbor_features(blk)
         if gate is None:
@@ -370,18 +360,12 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
             if neighbors.requires_grad:
                 grads["xj"] = g_edge
         elif x.requires_grad:
-            grads["x"] += scatter_block(g_edge, rows, blk, n).reshape(
+            grads["x"] += ad.scatter_rows(g_edge, rows[blk], n).reshape(
                 g.shape[:2] + (c,))
         return grads
 
-    def grads(g):
-        computed = join_blocks(blocks, lambda blk: gradients(g, blk),
-                               ("x", "xj", "code"))
-        for name, parent in parents.items():
-            if parent.requires_grad:
-                yield computed.pop(name)
-
-    return ad._from_grads(out, "inv_edge_conv", tuple(parents.values()), grads)
+    return over_clouds("inv_edge_conv", parents, forward, gradients,
+                       ("x", "xj", "code"), **buffers)
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +382,16 @@ def rpr_code(frame: fr.Frame, equivariant: Tensor, knn: np.ndarray) -> Tensor:
     keeps only its per-point parents; its one gradient callback forms the
     differences again with the same arithmetic for the frame's gradient,
     then scatters the features' gradient back to rows.  Forward and backward
-    run over the same `cloud_blocks` of the batch, each block's code and
-    gradients written to their rows; both are per-point or per-edge stacks
-    of 3 x 3 products, so they are bit-identical to one block's.
+    run one cloud at a time (`over_clouds`).
     """
     b, n = equivariant.shape[0], equivariant.shape[1]
-    rows = batch_rows(knn, b, n)
+    rows = cloud_rows(knn, n)
     v = equivariant.data
-    flat = v.reshape((b * n,) + v.shape[2:])
     ut = np.swapaxes(frame.matrix.data, -1, -2).reshape(b, n, 1, 3, 3)
 
     def diff(blk) -> np.ndarray:
-        d = flat[rows[blk]]
-        d -= v.reshape((b, n, 1) + v.shape[2:])[blk]
+        d = v[blk.start][rows[blk]]
+        d -= v[blk, :, None]
         return d
 
     def gradients(g, blk):
@@ -421,25 +402,16 @@ def rpr_code(frame: fr.Frame, equivariant: Tensor, knn: np.ndarray) -> Tensor:
             grads["frame"] = np.swapaxes(g_ut, -1, -2)
         if equivariant.requires_grad:
             g_diff = np.swapaxes(ut[blk], -1, -2) @ g
-            grad = scatter_block(g_diff, rows, blk, n).reshape(v[blk].shape)
+            grad = ad.scatter_rows(g_diff, rows[blk], n).reshape(v[blk].shape)
             grad += np.negative(g_diff, out=g_diff).sum(axis=2)
             grads["v"] = grad
         return grads
 
-    def grads(g):
-        computed = join_blocks(blocks, lambda blk: gradients(g, blk),
-                               ("frame", "v"))
-        if frame.matrix.requires_grad:
-            yield computed.pop("frame")
-        if equivariant.requires_grad:
-            yield computed.pop("v")
-
     # frame first: backward's depth-first walk then reaches the features'
     # subgraph before the frame's, as through the op-by-op form
-    parents = (frame.matrix, equivariant)
-    blocks = cloud_blocks(b, (1, n, knn.shape[2]) + v.shape[2:])
-    out = over_clouds(blocks, lambda blk, _: ut[blk] @ diff(blk))
-    return ad._from_grads(out, "rpr_code", parents, grads)
+    parents = {"frame": frame.matrix, "v": equivariant}
+    return over_clouds("rpr_code", parents, lambda blk, _: ut[blk] @ diff(blk),
+                       gradients, ("frame", "v"))
 
 
 def handcrafted_ppf_code(points: np.ndarray, knn: np.ndarray) -> Tensor:

@@ -7,7 +7,6 @@ co-rotates with the input.  Batched point features are (B, N, 3, C).
 """
 from __future__ import annotations
 
-import math
 import zlib
 
 import numpy as np
@@ -35,84 +34,67 @@ def vn_linear(v: Tensor, weight: Tensor) -> Tensor:
     return ad.matmul(v, weight)
 
 
-def batch_rows(knn: np.ndarray, b: int, n: int) -> np.ndarray:
-    """Per-cloud neighbour indices (B, N, K) as rows of the flattened
-    (B * N) batch.  An index outside [0, N) would read another cloud's
-    point, so it raises ValueError."""
+def cloud_rows(knn: np.ndarray, n: int) -> np.ndarray:
+    """Per-cloud neighbour indices (B, N, K) as int64 rows of each cloud's
+    N points.  An index outside [0, N) would read another cloud's point of
+    a flattened batch, or wrap around, so it raises ValueError."""
     idx = ad.row_indices(knn)
     if idx.size and idx.max() >= n:
         raise ValueError(f"neighbour index {idx.max()} out of range for "
                          f"clouds of {n} points")
-    return idx + (np.arange(b) * n)[:, None, None]
+    return idx
 
 
-# Bytes that a per-edge node's largest per-edge array may take over the whole
-# batch for the node to run the batch as one block (see `cloud_blocks`).
-BLOCK_BYTES = 4 << 20
+def over_clouds(op: str, parents: dict[str, Tensor], forward, backward,
+                per_cloud: tuple[str, ...], **buffers) -> Tensor:
+    """The tape node `op` of a per-edge node on `parents`, run one cloud at
+    a time: per cloud, its (N, K, ...) per-edge arrays take 1-2 MiB at
+    default size and stay in cache, where over a batch of 16 they take
+    32 MiB each and go out to DRAM (cache blocking, Lam, Rothberg & Wolf,
+    ASPLOS 1991).
 
+    The clouds are the one-cloud slices `blk` of the batch axis of
+    `parents[per_cloud[0]]`.  `forward(blk, out)` returns cloud `blk`'s
+    rows of the output, written to one (B, ...) array; `out` maps each name
+    of `buffers` to an array of the one-cloud shape given there, allocated
+    once and written by every cloud in turn.  Fresh per-edge arrays for
+    each cloud, made while a training step's graph is alive (the invariance
+    probe), fragmented the heap: default-train peak RSS spread from 241 to
+    276 MiB against 244-251 MiB.
 
-def cloud_blocks(b: int, edge_shape) -> list[slice]:
-    """The blocks of a batch of `b` clouds that a per-edge node's forward
-    and backward both run over: the whole batch when its largest per-edge
-    array, of one-cloud shape `edge_shape`, fits in `BLOCK_BYTES` for all
-    `b` clouds, else one block per cloud.
-
-    Per cloud, the (N, K, ...) per-edge arrays of a default-size model take
-    1-2 MiB and stay in cache; over a batch of 16 they take 32 MiB each and
-    go out to DRAM (cache blocking, Lam, Rothberg & Wolf, ASPLOS 1991).
+    When the node is recorded, backward calls `backward(g, blk)` for each
+    cloud with the node's gradient `g` and joins the gradients it returns
+    by parent name: those named in `per_cloud` (per point or per edge) are
+    written to their rows of one (B, ...) array, the others (weights and
+    biases) are added up in cloud order.  The node's one gradient callback
+    yields them in parent order.
     """
-    if b * math.prod(edge_shape) * 8 <= BLOCK_BYTES:
-        return [slice(0, b)]
-    return [slice(i, i + 1) for i in range(b)]
+    blocks = [slice(i, i + 1) for i in range(parents[per_cloud[0]].shape[0])]
 
+    def join(block, stacked: tuple[str, ...]) -> dict[str, np.ndarray]:
+        total: dict[str, np.ndarray] = {}
+        for blk in blocks:
+            for name, part in block(blk).items():
+                if name in stacked:
+                    if name not in total:
+                        total[name] = np.empty((len(blocks),) + part.shape[1:])
+                    total[name][blk] = part
+                elif name in total:
+                    total[name] += part
+                else:
+                    total[name] = part
+        return total
 
-def over_clouds(blocks: list[slice], block, **buffers) -> np.ndarray:
-    """A per-edge node's forward, `block(blk, out)` for each slice `blk` of
-    the batch's clouds in `blocks` (see `cloud_blocks`), each result written
-    to its rows of one (B, ...) output.
+    out = {name: np.empty(shape) for name, shape in buffers.items()}
+    data = join(lambda blk: {"out": forward(blk, out)}, ("out",))["out"]
 
-    With more than one block, `out` maps each name of `buffers` to an array
-    of the one-cloud shape given there, allocated once and written by every
-    cloud in turn; with one, it is empty and each op allocates its own
-    result.  Fresh per-edge arrays for each cloud, made while a training
-    step's graph is alive (the invariance probe), fragmented the heap:
-    default-train peak RSS spread from 241 to 276 MiB against 244-251 MiB.
-    """
-    out = ({name: np.empty(shape) for name, shape in buffers.items()}
-           if len(blocks) > 1 else {})
-    return join_blocks(blocks, lambda blk: {"out": block(blk, out)}, ("out",))["out"]
+    def grads(g):
+        computed = join(lambda blk: backward(g, blk), per_cloud)
+        for name, parent in parents.items():
+            if parent.requires_grad:
+                yield computed.pop(name)
 
-
-def join_blocks(blocks: list[slice], block,
-                per_cloud: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Run `block(blk)` for each slice `blk` of the batch's clouds in
-    `blocks` and join the arrays it returns by name: those named in
-    `per_cloud` (per point or per edge; the forward's output, the gradients
-    of features) are written to their rows of one (B, ...) array, the
-    others (weight and bias gradients) are added up over the blocks in cloud
-    order.  One block's arrays are returned as they are."""
-    if len(blocks) == 1:
-        return block(blocks[0])
-    total: dict[str, np.ndarray] = {}
-    for blk in blocks:
-        for name, part in block(blk).items():
-            if name in per_cloud:
-                if name not in total:
-                    total[name] = np.empty((blocks[-1].stop,) + part.shape[1:])
-                total[name][blk] = part
-            elif name in total:
-                total[name] += part
-            else:
-                total[name] = part
-    return total
-
-
-def scatter_block(g: np.ndarray, rows: np.ndarray, blk: slice,
-                  n: int) -> np.ndarray:
-    """`ad.scatter_rows` of the per-edge gradient `g` of the clouds `blk`,
-    gathered from `rows[blk]` of the flattened batch of N-point clouds,
-    onto the rows of those clouds alone."""
-    return ad.scatter_rows(g, rows[blk] - blk.start * n, (blk.stop - blk.start) * n)
+    return ad._from_grads(data, op, tuple(parents.values()), grads)
 
 
 def gather_neighbors(features: Tensor, knn: np.ndarray) -> Tensor:
@@ -123,7 +105,7 @@ def gather_neighbors(features: Tensor, knn: np.ndarray) -> Tensor:
     """
     b, n = features.shape[0], features.shape[1]
     flat = ad.reshape(features, (b * n,) + features.shape[2:])
-    return ad.gather(flat, batch_rows(knn, b, n))
+    return ad.gather(flat, cloud_rows(knn, n) + (np.arange(b) * n)[:, None, None])
 
 
 def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
@@ -153,37 +135,28 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
     direction from that one pass.  The difference channel cancels any
     constant offset added to all points.
 
-    Forward and backward run over the same `cloud_blocks` of the batch: one
-    block when the batch's per-edge arrays are small, else one per cloud.
-    The forward checks every block's k_hat for non-finite values; backward
-    writes each block's gradient of v and adds the weight and direction
-    gradients over blocks in cloud order, so against one block their
-    rounding moves.  The direction product is one BLAS gemv over the
-    N * K * 3 rows of a block, which takes rows in groups of 4 and its last
-    rows through another kernel.  So with N * K not a multiple of 4 a
-    one-cloud block regroups rows and can change their last bit (at most
-    1.7e-16 of the output's largest value over 300 random shapes); at every
-    other shape the output and the gradient of v are bit-identical to one
-    block's.
+    Forward and backward run one cloud at a time (`over_clouds`): the
+    forward checks each cloud's k_hat for non-finite values, and backward
+    adds the weight and direction gradients over the clouds in cloud order.
     """
     b, n, _, c = v.shape
     n_nbr = knn.shape[-1]
     if n_nbr == 0:
         raise ValueError("empty neighborhood: edge convolution needs k >= 1")
-    rows = batch_rows(knn, b, n)
+    rows = cloud_rows(knn, n)
     w_b = weight.data[c:]
     w_ab = weight.data[:c] - w_b
     w_dir = direction.data
     cout = w_b.shape[1]
     flat_v = v.data.reshape(-1, c)
-    neighbor = (flat_v @ w_b).reshape(b * n, 3, cout)
+    neighbor = (flat_v @ w_b).reshape(b, n, 3, cout)
     center = (flat_v @ w_ab).reshape(b, n, 1, 3, cout)
 
     def edges(blk, out=None):
-        """Per edge of the clouds in `blk`: m (written to `out` if given),
-        k, |k|, max(|k|, eps), k_hat and min(m . k_hat, 0)."""
-        # (B, N, K, 3, Cout); batch_rows has checked every index
-        m = np.take(neighbor, rows[blk], axis=0, out=out, mode="clip")
+        """Per edge of the cloud `blk`: m (written to `out` if given), k,
+        |k|, max(|k|, eps), k_hat and min(m . k_hat, 0)."""
+        # (1, N, K, 3, Cout); cloud_rows has checked every index
+        m = np.take(neighbor[blk.start], rows[blk], axis=0, out=out, mode="clip")
         m += center[blk]
         k = (m.reshape(-1, cout) @ w_dir).reshape(m.shape[:-1] + (1,))
         norm = np.sqrt((k * k).sum(axis=-2, keepdims=True))
@@ -193,21 +166,17 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
         trunc = np.minimum(np.einsum("...dc,...dx->...xc", m, khat), 0.0)
         return m, k, norm, guarded, khat, trunc
 
-    def block(blk, out):
-        m, _, _, _, khat, trunc = edges(blk, out.get("m"))
+    def forward(blk, out):
+        m, _, _, _, khat, trunc = edges(blk, out["m"])
         if not ad._all_finite(khat):
             raise ad.NumericError("vn_edge_conv")
         total = m.sum(axis=2)
         total -= np.einsum("bnkxc,bnkdx->bndc", trunc, khat)
+        total *= 1.0 / n_nbr
         return total
 
-    edge = (1, n, n_nbr, 3, cout)             # one cloud's m
-    blocks = cloud_blocks(b, edge)
-    out = over_clouds(blocks, block, m=edge)
-    out *= 1.0 / n_nbr
-
     def shared(g, blk):
-        """The centre, neighbour and direction gradients of the clouds
+        """The centre, neighbour and direction gradients of the cloud
         `blk`; every per-edge array dies when this returns."""
         m, k, norm, guarded, khat, trunc = edges(blk)
         g_edge = g[blk] * (1.0 / n_nbr)   # each edge's share of the mean
@@ -231,15 +200,15 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
         # the direction's term gk w^T is rank one over the channels, so it
         # is summed and scattered at width one and widened after
         g_center = gm.sum(axis=2) + gk.sum(axis=2) * w_dir.T
-        g_neighbor = (scatter_block(gm, rows, blk, n)
-                      + scatter_block(gk, rows, blk, n) * w_dir.T)
+        g_neighbor = (ad.scatter_rows(gm, rows[blk], n)
+                      + ad.scatter_rows(gk, rows[blk], n) * w_dir.T)
         return g_center.reshape(-1, cout), g_neighbor.reshape(-1, cout), g_dir
 
     kept: list = []
 
-    def block_grads(g, blk):
+    def backward(g, blk):
         g_center, g_neighbor, g_dir = shared(g, blk)
-        # g and the block's three gradients are kept until the next block or
+        # g and the cloud's three gradients are kept until the next cloud or
         # until the tape dies: freed when the callback returns, they let the
         # allocator trim the heap and fault it back in every step (desk-train
         # about 4100 minor page faults per step against 300-1100 kept, and
@@ -257,14 +226,8 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
         return grads
 
     parents = {"v": v, "weight": weight, "direction": direction}
-
-    def grads(g):
-        computed = join_blocks(blocks, lambda blk: block_grads(g, blk), ("v",))
-        for name, parent in parents.items():
-            if parent.requires_grad:
-                yield computed.pop(name)
-
-    return ad._from_grads(out, "vn_edge_conv", tuple(parents.values()), grads)
+    return over_clouds("vn_edge_conv", parents, forward, backward, ("v",),
+                       m=(1, n, n_nbr, 3, cout))
 
 
 class VnEdgeConv:

@@ -12,7 +12,7 @@ from rotinv.network import inv_edge_conv
 from rotinv.vecneuron import (EquivariantEncoder, VnEdgeConv, gather_neighbors,
                               vn_edge_conv, vn_invariant_head, vn_linear)
 
-from conftest import BLOCK_SHAPES, assert_blocks_agree
+from conftest import BLOCK_SHAPES, assert_batch_is_its_clouds, join_clouds
 
 
 def rotate_channels(rot, v):
@@ -207,46 +207,36 @@ class TestFusedVnNonlinearity:
         assert err.value.op == "vn_edge_conv"
 
     @pytest.mark.parametrize("b,n,k", BLOCK_SHAPES)
-    def test_no_grad_matches_recorded(self, rng, per_cloud, b, n, k):
+    def test_no_grad_matches_recorded(self, rng, b, n, k):
         v = rng.standard_normal((b, n, 3, 4))
         knn = rng.integers(0, n, (b, n, k))
         w = ad.Parameter("w", rng.standard_normal((8, 6)))
         d = ad.Parameter("d", rng.standard_normal((6, 1)))
         recorded = vn_edge_conv(ad.Tensor(v, requires_grad=True), knn, w, d)
-        with ad.no_grad(), per_cloud():
+        with ad.no_grad():
             plain = vn_edge_conv(ad.Tensor(v, requires_grad=True), knn, w, d)
         assert recorded.requires_grad and len(recorded._parents) == 3
         assert not plain.requires_grad and plain._parents == () and plain._grads is None
-        if n * k % 4 == 0:
-            assert np.array_equal(plain.data, recorded.data)
-        else:
-            # the direction product is one BLAS gemv over each block's rows,
-            # and the rows past the kernel's last group of 4 go through
-            # another kernel: with N * K * 3 not a multiple of 4, a
-            # one-cloud block moves some rows into or out of that tail, which
-            # can change their last bit
-            assert relative(plain.data, recorded.data) <= 1e-12
+        assert np.array_equal(plain.data, recorded.data)
 
     @pytest.mark.parametrize("b,n,k", BLOCK_SHAPES)
-    def test_one_cloud_per_block_matches_one_block(self, rng, per_cloud, b, n, k):
+    def test_one_cloud_per_block_matches_one_block(self, rng, b, n, k):
         knn = rng.integers(0, n, (b, n, k))
         knn[0, 1] = 3                             # one neighbour K times
-        assert_blocks_agree(per_cloud,
-                            lambda clouds, v, w, d: vn_edge_conv(v, knn[clouds], w, d),
-                            [rng.standard_normal((b, n, 3, 4))],
-                            [rng.standard_normal((8, 6)),
-                             rng.standard_normal((6, 1))],
-                            exact=n * k % 4 == 0)
+        assert_batch_is_its_clouds(
+            lambda clouds, v, w, d: vn_edge_conv(v, knn[clouds], w, d),
+            [rng.standard_normal((b, n, 3, 4))],
+            [rng.standard_normal((8, 6)), rng.standard_normal((6, 1))])
 
-    def test_non_finite_last_cloud_raises(self, rng, per_cloud):
-        # one cloud per block checks k_hat block by block; only the last
-        # cloud's overflows
+    def test_non_finite_last_cloud_raises(self, rng):
+        # the forward checks k_hat cloud by cloud; only the last cloud's
+        # overflows
         v = rng.standard_normal((3, 8, 3, 2))
         v[-1, 5] = 1e308
         knn = rng.integers(0, 8, (3, 8, 4))
         w = ad.Parameter("w", 10.0 * rng.standard_normal((4, 3)))
         d = ad.Parameter("d", rng.standard_normal((3, 1)))
-        with ad.no_grad(), per_cloud(), np.errstate(all="ignore"), \
+        with ad.no_grad(), np.errstate(all="ignore"), \
                 pytest.raises(ad.NumericError) as err:
             vn_edge_conv(ad.Tensor(v), knn, w, d)
         assert err.value.op == "vn_edge_conv"
@@ -351,28 +341,25 @@ def composed_inv_edge_conv(x, xj, fc1, fc2):
     return ad.tmax(ad.matmul(hidden, fc2.weight), axis=2) + fc2.bias
 
 
-def inv_edge_conv_runs(x, xj, w1, b1, w2, b2, weights, x_grad=True):
-    """Value and (x, xj, W1, b1, W2, b2) gradients of sum(f(...) * weights)
-    for inv_edge_conv and its reference form."""
-    results = []
-    for fn in (inv_edge_conv, composed_inv_edge_conv):
-        xt = ad.Tensor(x, requires_grad=x_grad)
-        xjt = ad.Tensor(xj, requires_grad=x_grad)
-        fc1 = SimpleNamespace(weight=ad.Tensor(w1, requires_grad=True),
-                              bias=ad.Tensor(b1, requires_grad=True))
-        fc2 = SimpleNamespace(weight=ad.Tensor(w2, requires_grad=True),
-                              bias=ad.Tensor(b2, requires_grad=True))
-        out = fn(xt, xjt, fc1, fc2)
-        ad.backward(ad.tsum(out * ad.Tensor(weights)))
-        results.append((out, [xt.grad, xjt.grad, fc1.weight.grad, fc1.bias.grad,
-                              fc2.weight.grad, fc2.bias.grad]))
-    return results
+def inv_edge_conv_run(fn, x, xj, w1, b1, w2, b2, weights, x_grad=True):
+    """Value and (x, xj, W1, b1, W2, b2) gradients of sum(fn(...) * weights)."""
+    xt = ad.Tensor(x, requires_grad=x_grad)
+    xjt = ad.Tensor(xj, requires_grad=x_grad)
+    fc1 = SimpleNamespace(weight=ad.Tensor(w1, requires_grad=True),
+                          bias=ad.Tensor(b1, requires_grad=True))
+    fc2 = SimpleNamespace(weight=ad.Tensor(w2, requires_grad=True),
+                          bias=ad.Tensor(b2, requires_grad=True))
+    out = fn(xt, xjt, fc1, fc2)
+    ad.backward(ad.tsum(out * ad.Tensor(weights)))
+    return out, [xt.grad, xjt.grad, fc1.weight.grad, fc1.bias.grad,
+                 fc2.weight.grad, fc2.bias.grad]
 
 
 class TestInvEdgeConv:
     """inv_edge_conv, the one-node edge linear + relu + fc2 + max over K,
-    against the op-by-op form it replaces: the same bits in the value and in
-    every gradient."""
+    against the op-by-op form it replaces run on each cloud alone: the same
+    bits in the value and in every gradient, the weights' summed over the
+    clouds in cloud order."""
 
     def inputs(self, rng, b=2, n=9, k=4, c=3, hidden=6, c_out=5):
         x = rng.standard_normal((b, n, c))
@@ -383,10 +370,16 @@ class TestInvEdgeConv:
                 rng.standard_normal(c_out), rng.standard_normal((b, n, c_out)))
 
     def assert_bit_identical(self, args, x_grad=True):
-        (out, grads), (ref, ref_grads) = inv_edge_conv_runs(*args, x_grad=x_grad)
+        out, grads = inv_edge_conv_run(inv_edge_conv, *args, x_grad=x_grad)
+        x, xj, w1, b1, w2, b2, weights = args
+        clouds = [inv_edge_conv_run(composed_inv_edge_conv, x[i:i + 1],
+                                    xj[i:i + 1], w1, b1, w2, b2,
+                                    weights[i:i + 1], x_grad=x_grad)
+                  for i in range(len(x))]
+        ref, ref_grads = join_clouds([(r.data, g) for r, g in clouds], 2)
         assert out._op == "inv_edge_conv"
         assert len(out._parents) == (6 if x_grad else 4)
-        assert np.array_equal(out.data, ref.data)
+        assert np.array_equal(out.data, ref)
         for name, g, r in zip(("x", "xj", "w1", "b1", "w2", "b2"), grads, ref_grads):
             assert (g is None) == (r is None), name
             assert g is None or np.array_equal(g, r), name
@@ -429,9 +422,9 @@ class TestInvEdgeConv:
         # psi under identity frames sees constant geometry
         self.assert_bit_identical(self.inputs(rng), x_grad=False)
 
-    def test_no_grad_records_no_parent(self, rng, per_cloud):
-        # psi's per-edge input; the unrecorded forward, one cloud per block,
-        # gives the recorded one-block bits at every shape
+    def test_no_grad_records_no_parent(self, rng):
+        # psi's per-edge input; the unrecorded forward gives the recorded
+        # bits at every shape
         for b, n, k in BLOCK_SHAPES:
             x, xj, w1, b1, w2, b2, _ = self.inputs(rng, b=b, n=n, k=k)
             x[0, :, :] = 0.0                      # ties, as above
@@ -441,14 +434,14 @@ class TestInvEdgeConv:
             fc2 = SimpleNamespace(weight=ad.Parameter("w2", w2),
                                   bias=ad.Parameter("b2", b2))
             recorded = inv_edge_conv(ad.Tensor(x), ad.Tensor(xj), fc1, fc2)
-            with ad.no_grad(), per_cloud():
+            with ad.no_grad():
                 plain = inv_edge_conv(ad.Tensor(x), ad.Tensor(xj), fc1, fc2)
             assert recorded.requires_grad and len(recorded._parents) == 4
             assert not plain.requires_grad and plain._parents == () and plain._grads is None
             assert np.array_equal(plain.data, recorded.data)
 
     @pytest.mark.parametrize("b,n,k", BLOCK_SHAPES)
-    def test_one_cloud_per_block_matches_one_block(self, rng, per_cloud, b, n, k):
+    def test_one_cloud_per_block_matches_one_block(self, rng, b, n, k):
         x, xj, w1, b1, w2, b2, _ = self.inputs(rng, b=b, n=n, k=k)
         x[0, :, :] = 0.0                          # ties in the max
         xj[0, :, :] = 0.0
@@ -457,7 +450,7 @@ class TestInvEdgeConv:
             return inv_edge_conv(x, xj, SimpleNamespace(weight=w1, bias=b1),
                                  SimpleNamespace(weight=w2, bias=b2))
 
-        assert_blocks_agree(per_cloud, node, [x, xj], [w1, b1, w2, b2])
+        assert_batch_is_its_clouds(node, [x, xj], [w1, b1, w2, b2])
 
     def test_gradient(self, rng):
         x, xj, w1, b1, w2, b2, weights = self.inputs(rng, b=1, n=5, k=3, c=2,
