@@ -611,13 +611,26 @@ class FusionModel:
         ad.save_checkpoint(path, self.parameters())
 
     def load(self, path) -> None:
+        """Set every parameter from the checkpoint at `path`.  The file must
+        hold exactly this model's parameter names, each with its shape; a
+        missing, extra or misshapen parameter raises ValueError naming the
+        path and leaves every parameter as it was."""
         state = ad.load_checkpoint(path)
-        for p in self.parameters():
-            if p.name not in state:
-                raise ValueError(f"checkpoint is missing parameter {p.name!r}")
+        params = self.parameters()
+        missing = [p.name for p in params if p.name not in state]
+        if missing:
+            raise ValueError(f"{path}: checkpoint is missing parameters {missing}")
+        extra = sorted(state.keys() - {p.name for p in params})
+        if extra:
+            raise ValueError(f"{path}: checkpoint has parameters this model "
+                             f"does not: {extra}")
+        for p in params:
             if state[p.name].shape != p.shape:
-                raise ValueError(f"shape mismatch for {p.name!r}")
-            p.data = state[p.name].copy()
+                raise ValueError(f"{path}: shape mismatch for {p.name!r}: "
+                                 f"{state[p.name].shape} in the checkpoint, "
+                                 f"{p.shape} in the model")
+        for p in params:
+            p.data = state[p.name]
 
     # -- graph building ------------------------------------------------------
 

@@ -434,8 +434,30 @@ class TestPersistence:
         smaller = FusionModel(named_config("identity-frames", **TINY_MODEL))
         path = tmp_path / "small.lckp"
         smaller.save(path)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="missing"):
             model.load(path)
+
+    def test_load_rejects_extra_parameters(self, tmp_path, tiny_config):
+        # a full checkpoint holds every identity-frames parameter and more
+        path = tmp_path / "full.lckp"
+        FusionModel(tiny_config).save(path)
+        smaller = FusionModel(named_config("identity-frames", **TINY_MODEL))
+        with pytest.raises(ValueError, match="does not") as err:
+            smaller.load(path)
+        assert str(path) in str(err.value)
+
+    def test_failed_load_leaves_model_unchanged(self, tmp_path, tiny_config):
+        # the same names, but five classes: the classifiers' last layers
+        # come after most parameters and do not fit
+        path = tmp_path / "five.lckp"
+        FusionModel(named_config("full", n_classes=5, seed=1, **TINY_MODEL)).save(path)
+        model = FusionModel(tiny_config)
+        before = {p.name: p.data.copy() for p in model.parameters()}
+        with pytest.raises(ValueError, match="cls.inv.fc2.weight") as err:
+            model.load(path)
+        assert str(path) in str(err.value)
+        for p in model.parameters():
+            assert np.array_equal(p.data, before[p.name]), p.name
 
     def test_parameter_names_unique(self, tiny_config):
         model = FusionModel(tiny_config)
