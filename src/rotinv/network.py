@@ -665,20 +665,27 @@ class FusionModel:
             return fr.gram_schmidt_frame(pair, fallback=fallback)
         return fr.lcrf_frame(pair, fallback=fallback)
 
-    def _pose_code(self, frame: fr.Frame, points: Tensor,
-                   veq: Optional[Tensor], knn: np.ndarray) -> Optional[Tensor]:
-        """Per-edge relative-pose code, (B,N,K,D) or (B,N,K,3,C); None for
-        the `invariant` source, whose gate reads the edge convolution's own
-        feature difference x_j - x_i."""
+    def _pose_features(self, points: Tensor,
+                       veq: Optional[Tensor]) -> Optional[Tensor]:
+        """The per-point (B,N,3,C) features whose `rpr_code` is the pose
+        code: the points as one vector channel for the `coordinate` source,
+        the projected equivariant features for `equivariant`; else None."""
         source = self.config.rpr_source
         if source == "coordinate":
             b, n = points.shape[0], points.shape[1]
-            return rpr_code(frame, ad.reshape(points, (b, n, 3, 1)), knn)
-        if source == "handcrafted-ppf":
-            return handcrafted_ppf_code(points.data, knn)
+            return ad.reshape(points, (b, n, 3, 1))
         if source == "equivariant":
-            return rpr_code(frame, ad.matmul(veq, self.rpr_proj), knn)
+            return ad.matmul(veq, self.rpr_proj)
         return None
+
+    def _pose_code(self, frame: fr.Frame, points: Tensor,
+                   features: Optional[Tensor], knn: np.ndarray) -> Optional[Tensor]:
+        """Per-edge relative-pose code, (B,N,K,D) or (B,N,K,3,C), from the
+        `_pose_features`; None for the `invariant` source, whose gate reads
+        the edge convolution's own feature difference x_j - x_i."""
+        if self.config.rpr_source == "handcrafted-ppf":
+            return handcrafted_ppf_code(points.data, knn)
+        return None if features is None else rpr_code(frame, features, knn)
 
     def forward(self, points: np.ndarray) -> ForwardOutput:
         """Run both branches on a (B, N, 3) batch."""
@@ -711,14 +718,18 @@ class FusionModel:
                               (b, n, cfg.k, 3))
         x = inv_edge_conv(p_local, pj_local, self.psi.fc1, self.psi.fc2)
 
-        # later layers on a dynamic graph with optional pose gating
+        # later layers on a dynamic graph with optional pose gating; the
+        # pose features are built once, and on the coordinate graph both
+        # gated layers share one code
+        features = self._pose_features(pts, veq)
+        code = None
         for phi, gate in zip((self.phi1, self.phi2), self.gates):
             if cfg.graph_metric == "feature":
                 idx = self._feature_graph(x.data)
             else:
                 idx = knn_coord
-            code = (None if gate is None
-                    else self._pose_code(frame, pts, veq, idx))
+            if gate is not None and (code is None or cfg.graph_metric == "feature"):
+                code = self._pose_code(frame, pts, features, idx)
             x = inv_edge_conv(x, idx, phi.fc1, phi.fc2, gate, code)
 
         pooled_inv = ad.tmax(x, axis=1)

@@ -31,8 +31,12 @@ def centered_cloud_batch(rng, b=2, n=20):
 
 def composed_rpr_code(frame, equivariant, knn):
     """Reference form of rpr_code, op by op: gather, difference and the
-    transposed frame's product."""
+    transposed frame's product.  The features pass through one identity
+    reshape first, so that, as from the node, each code sends them one
+    gradient: both gated layers read one projection, and its gradient is
+    then the sum of two terms in either form."""
     b, n = equivariant.shape[0], equivariant.shape[1]
+    equivariant = ad.reshape(equivariant, equivariant.shape)
     vj = gather_neighbors(equivariant, knn)
     diff = vj - ad.reshape(equivariant, (b, n, 1) + equivariant.shape[2:])
     ut = ad.swap_last_axes(frame.matrix)
@@ -799,6 +803,20 @@ def test_edge_convolutions_build_no_per_edge_copies(rng):
     assert sorted(c[1] for c in nodes if c[0] == "inv_edge_conv") == sorted(
         (b, n, w) for w in inv_widths)
     assert any(op == "concat" for op, _ in nodes), "the frame stack should stay"
+
+
+@pytest.mark.parametrize("graph_metric", GRAPH_METRICS)
+def test_pose_code_built_once(rng, graph_metric):
+    # one projection of the equivariant features per forward; on the
+    # coordinate graph both gated layers read one code, on feature graphs
+    # each layer builds its own
+    cfg = named_config("full", graph_metric=graph_metric,
+                       **{**TINY_MODEL, "rpr_channels": 3})
+    out = FusionModel(cfg).forward(centered_cloud_batch(rng, b=2, n=20))
+    nodes = tape_nodes(out.logits_inv)
+    assert nodes.count(("matmul", (2, 20, 3, 3))) == 1
+    assert [op for op, _ in nodes].count("rpr_code") == (
+        1 if graph_metric == "coordinate" else 2)
 
 
 def test_max_without_grad_matches_max_with_grad(rng):
