@@ -69,15 +69,15 @@ def over_clouds(op: str, parents: dict[str, Tensor], forward, backward,
     biases) are added up in cloud order.  The node's one gradient callback
     yields them in parent order.
     """
-    blocks = [slice(i, i + 1) for i in range(parents[per_cloud[0]].shape[0])]
+    clouds = [slice(i, i + 1) for i in range(parents[per_cloud[0]].shape[0])]
 
-    def join(block, stacked: tuple[str, ...]) -> dict[str, np.ndarray]:
+    def join(run, stacked: tuple[str, ...]) -> dict[str, np.ndarray]:
         total: dict[str, np.ndarray] = {}
-        for blk in blocks:
-            for name, part in block(blk).items():
+        for blk in clouds:
+            for name, part in run(blk).items():
                 if name in stacked:
                     if name not in total:
-                        total[name] = np.empty((len(blocks),) + part.shape[1:])
+                        total[name] = np.empty((len(clouds),) + part.shape[1:])
                     total[name][blk] = part
                 elif name in total:
                     total[name] += part
