@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from . import frames as fr
 from .autodiff import Parameter, Tensor
-from .geometry import knn_graph, sample_rotation_so3
+from .geometry import knn_graph, nearest_k, sample_rotation_so3
 from .vecneuron import (EquivariantEncoder, cloud_rows, gather_neighbors,
                         over_clouds, seeded_normal, vn_invariant_head)
 
@@ -640,15 +640,13 @@ class FusionModel:
     def _feature_graph(self, features: np.ndarray) -> np.ndarray:
         # Gram-expansion form of the squared distances; much cheaper than the
         # coordinate-difference form at feature widths, same tie-break.
-        b = features.shape[0]
-        out = []
-        for i in range(b):
-            x = features[i]
+        b, n = features.shape[0], features.shape[1]
+        d2 = np.empty((b, n, n))
+        for x, out in zip(features, d2):
             r2 = (x * x).sum(axis=1)
-            d2 = r2[:, None] + r2[None, :] - 2.0 * (x @ x.T)
-            np.fill_diagonal(d2, np.inf)
-            out.append(np.argsort(d2, axis=1, kind="stable")[:, :self.config.k])
-        return np.stack(out)
+            np.subtract(r2[:, None] + r2[None, :], 2.0 * (x @ x.T), out=out)
+        d2[:, np.arange(n), np.arange(n)] = np.inf
+        return nearest_k(d2, self.config.k)
 
     # -- branches ------------------------------------------------------------
 

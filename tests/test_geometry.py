@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from rotinv.geometry import (DegenerateInputError, PointCloud, Rotation,
                              add_gaussian_noise, apply_rotation,
                              center_and_scale, drop_points, knn_graph,
-                             pairwise_sq_dists, quaternion_to_matrix,
+                             nearest_k, pairwise_sq_dists,
+                             quaternion_to_matrix,
                              rotation_z, sample_rotation_so3,
                              sample_rotation_z)
+from rotinv.network import FusionModel, ModelConfig
 
 
 def random_cloud(seed, n=24):
@@ -191,6 +193,27 @@ def brute_force_knn(points, k):
     return np.array(rows)
 
 
+def stable_knn(d2, k):
+    """The selection rule's oracle: the first k of a stable sort per row."""
+    return np.argsort(d2, axis=-1, kind="stable")[..., :k]
+
+
+def gram_sq_dists(features):
+    """The squared distances of a (B, N, C) batch in the Gram form the
+    feature graph uses, self excluded."""
+    r2 = (features * features).sum(axis=-1)
+    d2 = (r2[:, :, None] + r2[:, None, :]
+          - 2.0 * (features @ np.swapaxes(features, -1, -2)))
+    n = features.shape[1]
+    d2[:, np.arange(n), np.arange(n)] = np.inf
+    return d2
+
+
+def feature_graph(features, k):
+    """`FusionModel._feature_graph` of a (B, N, C) batch at this k."""
+    return FusionModel(ModelConfig(k=k))._feature_graph(features)
+
+
 class TestKnnGraph:
     def test_collinear_hand_example(self):
         # points at x = 0,1,2,3; ties break toward the lower index
@@ -203,6 +226,9 @@ class TestKnnGraph:
         graph = knn_graph(pts, 6)
         for i, row in enumerate(graph):
             assert sorted(row) == sorted(set(range(7)) - {i})
+        assert np.array_equal(graph, brute_force_knn(pts, 6))
+        assert np.array_equal(feature_graph(pts[None], 6),
+                              stable_knn(gram_sq_dists(pts[None]), 6))
 
     def test_rotation_leaves_graph_unchanged(self):
         pts = np.random.default_rng(1).standard_normal((30, 3))
@@ -226,14 +252,69 @@ class TestKnnGraph:
         k = int(rng.integers(1, n))
         pts = rng.standard_normal((n, 3))
         assert np.array_equal(knn_graph(pts, k), brute_force_knn(pts, k))
+        feats = rng.standard_normal((2, n, 8))
+        assert np.array_equal(feature_graph(feats, k),
+                              stable_knn(gram_sq_dists(feats), k))
 
     def test_matches_bruteforce_with_ties(self):
-        # integer lattice: exact repeated distances exercise the tie-break
+        # integer lattice: exact repeated distances exercise the tie-break,
+        # and the Gram form of integer features is exact too
         rng = np.random.default_rng(3)
         pts = rng.integers(0, 3, size=(40, 3)).astype(float)
-        for k in (1, 3, 7):
+        feats = rng.integers(0, 3, size=(3, 40, 5)).astype(float)
+        for k in (1, 3, 7, 39):
             assert np.array_equal(knn_graph(pts, k),
                                   brute_force_knn(pts, k))
+            assert np.array_equal(feature_graph(feats, k),
+                                  np.stack([brute_force_knn(f, k) for f in feats]))
+
+    def test_tie_at_the_kth_distance(self):
+        # the six axis neighbours of point 0 all lie at distance 1, so for
+        # k = 2 and 4 the k-th distance ties with neighbours that are not
+        # kept; the lower indices win, listed after the nearer point 5
+        axes = np.concatenate([np.eye(3), -np.eye(3)])[::-1]
+        pts = np.concatenate([[[0.0, 0, 0]], axes[:4], [[0.5, 0, 0]], axes[4:]])
+        for k in (2, 4):
+            graph = knn_graph(pts, k)
+            assert graph[0].tolist() == [5, 1, 2, 3][:k]
+            assert np.array_equal(graph, brute_force_knn(pts, k))
+            assert np.array_equal(feature_graph(pts[None], k)[0], graph)
+
+    def test_duplicated_points(self):
+        rng = np.random.default_rng(4)
+        base = rng.standard_normal((6, 3))
+        pts = base[rng.integers(0, 6, size=20)]
+        for k in (1, 3, 5, 19):
+            assert np.array_equal(knn_graph(pts, k), brute_force_knn(pts, k))
+            assert np.array_equal(feature_graph(pts[None], k),
+                                  stable_knn(gram_sq_dists(pts[None]), k))
+
+    def test_non_finite_rows(self):
+        # infinite coordinates make inf and NaN distances, and in the Gram
+        # form some rows' k-th distance is NaN, which sorts last
+        pts = np.random.default_rng(5).standard_normal((12, 3))
+        pts[3, 0] = np.inf
+        pts[7] = [np.inf, -np.inf, 0.0]
+        with np.errstate(invalid="ignore"):
+            d2 = pairwise_sq_dists(pts)
+            np.fill_diagonal(d2, np.inf)
+            gram = gram_sq_dists(pts[None])
+            for k in (1, 4, 11):
+                assert np.array_equal(knn_graph(pts, k), stable_knn(d2, k))
+                assert np.array_equal(feature_graph(pts[None], k),
+                                      stable_knn(gram, k))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_selection_matches_stable_sort(self, seed):
+        # rows drawn from a few values, so most rows tie at the k-th value,
+        # with signed zeros, infinities and NaNs among them
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 30))
+        k = int(rng.integers(1, m + 1))
+        values = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 2.0])
+        d2 = rng.choice(values[:int(rng.integers(2, 8))], size=(3, 4, m))
+        assert np.array_equal(nearest_k(d2, k), stable_knn(d2, k))
 
     def test_feature_space_query(self):
         # any query width works; the result is a plain (N, K) int64 array
