@@ -124,7 +124,9 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
     k = m @ direction: m - min(m . k_hat, 0) k_hat, which is equivariant
     because k co-rotates with the input.  The output is the mean over the
     K neighbours, formed as mean_k(m) - sum_k min(m . k_hat, 0) k_hat / K,
-    so the truncated per-edge tensor is never built.
+    so the truncated per-edge tensor is never built.  That sum over K, and
+    the two sums over K in backward, are one small GEMM per point,
+    (3, K) @ (K, Cout) or its transposes, not per-edge einsums.
 
     The node keeps only the two per-point products; backward builds the
     per-edge terms again (bit-identical: the same gather and arithmetic),
@@ -166,12 +168,17 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
         trunc = np.minimum(np.einsum("...dc,...dx->...xc", m, khat), 0.0)
         return m, k, norm, guarded, khat, trunc
 
+    def per_point(a: np.ndarray) -> np.ndarray:
+        """A cloud's (1, N, K, ...) per-edge array as N (K, width) matrices,
+        so that a contraction over K is one small GEMM per point."""
+        return a.reshape(n, n_nbr, -1)
+
     def forward(blk, out):
         m, _, _, _, khat, trunc = edges(blk, out["m"])
         if not ad._all_finite(khat):
             raise ad.NumericError("vn_edge_conv")
         total = m.sum(axis=2)
-        total -= np.einsum("bnkxc,bnkdx->bndc", trunc, khat)
+        total -= np.swapaxes(per_point(khat), -1, -2) @ per_point(trunc)
         total *= 1.0 / n_nbr
         return total
 
@@ -180,12 +187,13 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
         `blk`; every per-edge array dies when this returns."""
         m, k, norm, guarded, khat, trunc = edges(blk)
         g_edge = g[blk] * (1.0 / n_nbr)   # each edge's share of the mean
+        g_point = g_edge.reshape(n, 3, cout)
         # d out / d (m . k_hat) = -k_hat where m . k_hat < 0, else 0
-        gdot = np.einsum("bndc,bnkdx->bnkxc", g_edge, khat)
+        gdot = (per_point(khat) @ g_point).reshape(trunc.shape)
         gdot *= trunc < 0
         gdot *= -1.0
         gkhat = (np.einsum("...dc,...xc->...d", m, gdot)
-                 - np.einsum("bndc,bnkxc->bnkd", g_edge, trunc))[..., None]
+                 - per_point(trunc) @ np.swapaxes(g_point, -1, -2))[..., None]
         # normalize's backward; below the guard the norm is a constant
         radial = (gkhat * k).sum(axis=-2, keepdims=True)
         gk = gkhat / guarded - np.where(norm > ad.NORM_EPS,
