@@ -172,11 +172,12 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
 
         concat[x_i, x_j - x_i] W1 + b1 = (x_i (W_a - W_b) + b1) + x_j W_b,
 
-    so the centre term and the bias are one product per point, added in
-    place onto the per-edge product (DGCNN's split), and the relu runs in
-    place too.  The fc2 bias is added after the max: rounding is monotone,
-    so max_k(y_k + b) and max_k(y_k) + b are the same float.  The difference
-    channel cancels any constant offset added to all points.
+    so the centre term and the bias are per point, one (N, C) @ (C, H)
+    product per cloud added in place onto the per-edge product (DGCNN's
+    split), and the relu runs in place too.  The fc2 bias is added after
+    the max: rounding is monotone, so max_k(y_k + b) and max_k(y_k) + b are
+    the same float.  The difference channel cancels any constant offset
+    added to all points.
 
     With a `gate` (the relative-pose gate, an `Mlp`), each x_j is replaced
     by gate(code) * x_j before the edge linear.  `code` is the (B, N, K, ...)
@@ -249,10 +250,10 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
         return inp, hid, gated
 
     def hidden(edges: np.ndarray, blk, out=None) -> np.ndarray:
-        center = x_i[blk] @ w_ab
+        center = x.data[blk.start] @ w_ab
         center += b1
         h = np.matmul(edges, w_b, out=out)
-        h += center
+        h += center[:, None]
         return np.maximum(h, 0.0, out=h)
 
     # the K-argmax of every output, written cloud by cloud
@@ -322,7 +323,8 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
             g_edge = gh @ w_b.T
         del gh
         if x.requires_grad:
-            grads["x"] = (g_center @ w_ab.T).reshape(g.shape[:2] + (c,))
+            grads["x"] = (g_center.reshape(n, -1) @ w_ab.T).reshape(
+                g.shape[:2] + (c,))
         g_ab = x_i[blk].reshape(-1, c).T @ g_center.reshape(-1, g_center.shape[-1])
         grads["w1"] = np.concatenate([g_ab, g_wb - g_ab])
         grads["b1"] = g_center.sum(axis=(0, 1, 2))

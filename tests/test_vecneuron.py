@@ -60,15 +60,16 @@ def edge_linear(x, xj, weight, bias=None):
 
         concat[x_i, x_j - x_i] W + bias = (x_i (W_a - W_b) + bias) + x_j W_b,
 
-    so the center term and the bias are one product per point, added in
-    place onto the per-edge product.
+    so the center term and the bias are per point, one 2-D product over the
+    rows of every point, added in place onto the per-edge product.
     """
     c = x.shape[-1]
     w_a, w_b = weight[:c], weight[c:]
-    x_i = ad.reshape(x, x.shape[:2] + (1,) + x.shape[2:])
-    center = (ad.matmul(x_i, w_a - w_b) if bias is None
-              else ad.addmm(bias, x_i, w_a - w_b))
-    return ad.addmm(center, xj, w_b)
+    rows = ad.reshape(x, (-1, c))
+    center = (ad.matmul(rows, w_a - w_b) if bias is None
+              else ad.addmm(bias, rows, w_a - w_b))
+    return ad.addmm(ad.reshape(center, x.shape[:2] + (1,) + x.shape[2:-1] + (-1,)),
+                    xj, w_b)
 
 
 def composed_edge_conv(v, knn, weight, direction):
