@@ -96,11 +96,18 @@ def identity_frames(shape_prefix: tuple[int, ...] = ()) -> Frame:
                  degenerate=np.zeros(shape_prefix, dtype=bool))
 
 
+def parallel_pairs(pair: ProjectedPair) -> np.ndarray:
+    """The (...) mask of points whose pair lies in the guard band,
+    |v1.v2| >= 1 - EPS_PARALLEL, where the learned frames take their
+    fallback."""
+    return np.abs(pair.dot()) >= 1.0 - EPS_PARALLEL
+
+
 def _check_guard_band(pair: ProjectedPair, fallback: Frame | None, context: str):
     """Return the bad-pair mask, raising when no fallback is available."""
-    dot = pair.dot()
-    bad = np.abs(dot) >= 1.0 - EPS_PARALLEL
+    bad = parallel_pairs(pair)
     if bad.any() and fallback is None:
+        dot = pair.dot()
         worst = dot[bad].ravel()[np.argmax(np.abs(dot[bad]).ravel())]
         raise DegenerateFrameError(worst, context)
     return bad

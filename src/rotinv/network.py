@@ -659,8 +659,13 @@ class FusionModel:
         fallback = fr.identity_frames((b, n))
         if kind == "identity":
             return fallback
+        if kind == "handcrafted" or fr.parallel_pairs(pair).any():
+            # the handcrafted frame rotates with the input, so it is the
+            # learned frames' fallback; the identity, which does not, is
+            # left only where the handcrafted frame degenerates too
+            fallback = fr.handcrafted_frame(points.data, knn, fallback=fallback)
         if kind == "handcrafted":
-            return fr.handcrafted_frame(points.data, knn, fallback=fallback)
+            return fallback
         if kind == "gram-schmidt":
             return fr.gram_schmidt_frame(pair, fallback=fallback)
         return fr.lcrf_frame(pair, fallback=fallback)

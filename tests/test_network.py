@@ -7,6 +7,7 @@ from rotinv import autodiff as ad
 from rotinv import frames as fr
 from rotinv import network
 from rotinv.checks import ACCEPTANCE_MODEL
+from rotinv.dataset import DatasetSpec, generate_dataset
 from rotinv.geometry import knn_graph, sample_rotation_so3
 from rotinv.gradcheck import check_tensor_gradient
 from rotinv.network import (COMPONENT_ABLATION_ROWS, FRAME_ABLATION_ROWS,
@@ -404,6 +405,26 @@ class TestForward:
         np.testing.assert_array_equal(out.frames.data[0, 6], np.eye(3))
         assert out.frames.degenerate.tolist() == [[False] * 6 + [True]]
         assert out.diagnostics["degenerate_fraction"] == 1 / 7
+
+    @pytest.mark.parametrize("frame_kind", ("gram-schmidt", "lcrf"))
+    def test_learned_frames_fall_back_to_the_handcrafted_frame(self, frame_kind):
+        # a generic torus, test cloud 3 of dataset seed 24: at point 95 the
+        # untrained default model's pair has v1.v2 = 0.99999955, inside the
+        # guard band; the identity in its place moved the logits by 0.07-0.19
+        # relative under rotation
+        spec = DatasetSpec(seed=24, train_per_class=1, test_per_class=1)
+        pts = generate_dataset(spec).test[3].points[None]
+        model = FusionModel(ModelConfig(frame_kind=frame_kind))
+        with ad.no_grad():
+            out = model.forward(pts)
+        assert np.flatnonzero(out.frames.degenerate).tolist() == [95]
+        handcrafted = fr.handcrafted_frame(pts, out.knn_coord,
+                                           fallback=fr.identity_frames((1, 128)))
+        np.testing.assert_array_equal(out.frames.data[0, 95],
+                                      handcrafted.data[0, 95])
+        defect, stable = model._invariance_defect(
+            pts, 3, np.random.default_rng(0), out.prediction_logits.data)
+        assert defect <= 1e-6 and stable
 
     def test_baseline_row_skips_equivariant_branch(self, rng):
         model = FusionModel(named_config("identity-frames", **TINY_MODEL))
