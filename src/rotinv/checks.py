@@ -22,7 +22,7 @@ from .geometry import knn_graph, sample_rotation_so3
 from .gradcheck import check_tensor_gradient, directional_derivative_error
 from .harness import Protocol, RunReport, TrainConfig, evaluate, run_experiment
 from .network import (PROTOCOL_ROWS, FusionModel, ModelConfig, inv_edge_conv,
-                      named_config, rpr_code, total_loss)
+                      named_config, total_loss)
 from .vecneuron import EquivariantEncoder, gather_neighbors, vn_edge_conv
 
 
@@ -232,37 +232,46 @@ def check_gradient_suite(seed: int = 0) -> CheckResult:
         out = vn_edge_conv(v, knn, t[0, :4, :2], ad.reshape(t[1, 0, :2], (2, 1)))
         return ad.tsum(out * ad.Tensor(weights_vn.reshape(out.shape)))
 
-    def inv_edge_loss(t: ad.Tensor) -> ad.Tensor:
-        # points, neighbours, both weights and both biases all depend on t
-        x = ad.reshape(t[0], (1, 10, 3))
-        xj = gather_neighbors(ad.reshape(t[1] * t[1], (1, 10, 3)), knn)
-        fc1 = SimpleNamespace(weight=ad.reshape(t[:, 2:5], (6, 3)), bias=t[0, 5])
-        fc2 = SimpleNamespace(weight=ad.transpose(t[1, 7:9], (1, 0)),
-                              bias=t[0, 9, :2])
-        out = inv_edge_conv(x, xj, fc1, fc2)
-        return ad.tsum(out * ad.Tensor(weights_inv.reshape(out.shape)))
+    def frame_matrix(t: ad.Tensor) -> ad.Tensor:
+        # an unconstrained 3x3 frame matrix per point
+        return ad.reshape(ad.concat([t[0], t[1], t[0] * t[1]], axis=-1),
+                          (1, 10, 3, 3))
 
-    def gated_edge_loss(t: ad.Tensor) -> ad.Tensor:
-        # points, the per-edge code, both layers' and the gate's weights and
-        # biases all depend on t
-        code = gather_neighbors(ad.reshape(t[1] * t[1], (1, 10, 3)), knn)
+    def layers(t: ad.Tensor, gate_weight: Optional[ad.Tensor] = None):
+        # both layers of a 3-channel convolution, and a gate on
+        # `gate_weight`, all functions of t
         fc1 = SimpleNamespace(weight=ad.reshape(t[:, 2:5], (6, 3)), bias=t[0, 5])
         fc2 = SimpleNamespace(weight=ad.transpose(t[1, 7:9], (1, 0)),
                               bias=t[0, 9, :2])
         gate = SimpleNamespace(
-            fc1=SimpleNamespace(weight=ad.reshape(t[1, 5:7], (3, 2)),
-                                bias=t[1, 9, :2]),
+            fc1=SimpleNamespace(weight=gate_weight, bias=t[1, 9, :2]),
             fc2=SimpleNamespace(weight=t[0, 7:9], bias=t[0, 6] + 1.0))
-        out = inv_edge_conv(ad.reshape(t[0], (1, 10, 3)), knn, fc1, fc2, gate, code)
+        return fc1, fc2, gate
+
+    def inv_edge_loss(t: ad.Tensor) -> ad.Tensor:
+        # psi's form: the points, read in each centre's frame, the frame,
+        # both weights and both biases all depend on t
+        fc1, fc2, _ = layers(t)
+        out = inv_edge_conv(ad.reshape(t[1] * t[1], (1, 10, 3)), knn, fc1, fc2,
+                            frame=frame_matrix(t))
+        return ad.tsum(out * ad.Tensor(weights_inv.reshape(out.shape)))
+
+    def gated_edge_loss(t: ad.Tensor) -> ad.Tensor:
+        # points, both layers' and the gate's weights and biases all depend
+        # on t; the gate reads the edge's feature difference x_j - x_i
+        fc1, fc2, gate = layers(t, ad.reshape(t[1, 5:7], (3, 2)))
+        out = inv_edge_conv(ad.reshape(t[0], (1, 10, 3)), knn, fc1, fc2, gate)
         return ad.tsum(out * ad.Tensor(weights_gated.reshape(out.shape)))
 
     def rpr_code_loss(t: ad.Tensor) -> ad.Tensor:
-        # an unconstrained 3x3 frame matrix and two feature channels per point
-        matrix = ad.reshape(ad.concat([t[0], t[1], t[0] * t[1]], axis=-1),
-                            (1, 10, 3, 3))
+        # the pose code U_i^T (v_j - v_i) inside the gated convolution: the
+        # frame, two feature channels per point, the points, both layers'
+        # and the gate's weights and biases all depend on t
         v = ad.reshape(ad.transpose(t, (1, 2, 0)), (1, 10, 3, 2))
-        out = rpr_code(fr.Frame(matrix, "raw"), v, knn)
-        return ad.tsum(out * ad.Tensor(weights_rpr.reshape(out.shape)))
+        fc1, fc2, gate = layers(t, ad.reshape(t[:, 5:7], (6, 2)))
+        out = inv_edge_conv(ad.reshape(t[0], (1, 10, 3)), knn, fc1, fc2, gate, v,
+                            frame_matrix(t))
+        return ad.tsum(out * ad.Tensor(weights_rpr.reshape(-1)[:20].reshape(out.shape)))
 
     weights_gs = rng.standard_normal((10, 3, 3))
     weights_edge = rng.standard_normal((10, 4, 3))

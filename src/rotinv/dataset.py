@@ -140,21 +140,3 @@ def generate_dataset(spec: DatasetSpec) -> SyntheticDataset:
     return SyntheticDataset(spec, build(train_seq, spec.train_per_class),
                             build(test_seq, spec.test_per_class))
 
-
-# ---------------------------------------------------------------------------
-# calibration: the classes must be separable by plain geometry before any
-# learned model is trusted with them
-
-
-def handcrafted_descriptor(cloud: PointCloud) -> np.ndarray:
-    """Rotation-invariant summary: radial-distance quantiles, covariance
-    eigenvalues, and nearest-neighbor spacing statistics."""
-    pts = cloud.points
-    radii = np.linalg.norm(pts, axis=1)
-    quantiles = np.quantile(radii, np.linspace(0.05, 0.95, 10))
-    cov = np.cov(pts.T)
-    eigs = np.sort(np.linalg.eigvalsh(cov))
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-    np.fill_diagonal(d2, np.inf)
-    nn = np.sqrt(d2.min(axis=1))
-    return np.concatenate([quantiles, eigs, [radii.std(), nn.mean(), nn.std()]])

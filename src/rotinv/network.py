@@ -155,20 +155,17 @@ class Mlp:
         return self.fc2(ad.relu(self.fc1(x)))
 
 
-def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
-                  gate: Optional[Mlp] = None,
-                  code: Optional[Tensor] = None) -> Tensor:
+def inv_edge_conv(x: Tensor, knn: np.ndarray, fc1: Linear, fc2: Linear,
+                  gate: Optional[Mlp] = None, code=None,
+                  frame: Optional[Tensor] = None) -> Tensor:
     """One invariant edge convolution as one tape node:
     max_k relu(concat[x_i, x_j - x_i] W1 + b1) W2 + b2.
 
-    `x` is (B, N, C) per point.  `neighbors` is either the (B, N, K) index
-    of each point's neighbours among the points of `x`, gathered inside the
-    node (an index outside [0, N) raises ValueError, as in
-    `gather_neighbors`), or a (B, N, K, C) Tensor of per-edge neighbour
-    features (psi's frame-projected neighbours, which are no gather of x).
-    `fc1`, `fc2` are the MLP's two layers, whose weights and biases are
-    parents too; returns (B, N, Cout).  With W_a, W_b the first and last C
-    rows of W1,
+    `x` is (B, N, C) per point and `knn` the (B, N, K) index of each point's
+    neighbours among them, gathered inside the node (an index outside
+    [0, N) raises ValueError, as in `gather_neighbors`).  `fc1`, `fc2` are
+    the MLP's two layers, whose weights and biases are parents too; returns
+    (B, N, Cout).  With W_a, W_b the first and last C rows of W1,
 
         concat[x_i, x_j - x_i] W1 + b1 = (x_i (W_a - W_b) + b1) + x_j W_b,
 
@@ -180,77 +177,115 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
     added to all points.
 
     With a `gate` (the relative-pose gate, an `Mlp`), each x_j is replaced
-    by gate(code) * x_j before the edge linear.  `code` is the (B, N, K, ...)
-    per-edge pose code, flattened per edge to the gate's input width, or
-    None for the gate to read the edge's own feature difference x_j - x_i
-    (the `invariant` pose source).  The gate's product runs in place on its
-    freshly allocated output.
+    by gate(code_ij) * x_j before the edge linear, where code_ij, flattened
+    per edge to the gate's input width, is the edge's row of `code`, a
+    (B, N, K, D) per-edge constant array (the handcrafted point-pair code),
+    or x_j - x_i when `code` is None (the `invariant` pose source).  The
+    gate's product runs in place on its freshly allocated output.
+
+    With a `frame`, the (B, N, 3, 3) per-point frames U, the node reads
+    per-point 3-vectors v in each centre's frame as U_i^T (v_j - c_i):
+      - without a gate, v is x, the (B, N, 3) points, and c_i = 0, so the
+        edge input is concat[U_i^T x_i, U_i^T x_j - U_i^T x_i] (psi, the
+        first layer);
+      - with a gate, v is `code`, (B, N, 3, C) per point, and c_i = v_i:
+        the gate reads the relative pose code U_i^T (v_j - v_i), which the
+        frame makes invariant while it still carries inter-patch pose.
+    The projection's backward is its transposed products: the frame gets
+    g (v_j - c_i)^T summed over K, and v gets U_i g scattered back to rows.
 
     When the graph is recorded the node keeps, besides its parents, only the
     argmax over K of the fc2 product (the first on ties, as in `ad.tmax`);
     under `no_grad` only the max is taken.  Backward builds the gathered
-    neighbours, the gate and the hidden layer again with the same
-    arithmetic, so the same bits (activation recomputation, Chen et al.
-    2016), routes the gradient to the argmax rows, and sums the per-edge
-    hidden gradient over K for the per-point centre product; the gradient
-    of gathered neighbours is scattered back to rows (`ad.scatter_rows`).
-    Each per-edge array is dropped as soon as it is dead.  This one pass
-    gives every parent's gradient, and the node's one gradient callback
-    yields each in parent order, so none outlives its use in backward.
+    neighbours, the projection, the gate and the hidden layer again with
+    the same arithmetic, so the same bits (activation recomputation, Chen
+    et al. 2016), routes the gradient to the argmax rows, and sums the
+    per-edge hidden gradient over K for the per-point centre product; the
+    gradient of gathered neighbours is scattered back to rows
+    (`ad.scatter_rows`).  Each per-edge array is dropped as soon as it is
+    dead.  This one pass gives every parent's gradient, and the node's one
+    gradient callback yields each in parent order, so none outlives its use
+    in backward.
 
     Forward and backward run one cloud at a time (`over_clouds`), so each
-    per-edge array stays in cache: the forward writes each cloud's max and
-    K-argmax to its rows, and backward adds the weight and bias gradients
-    over the clouds in cloud order.
+    per-edge array stays in cache: the forward writes each cloud's
+    neighbours, projection, max and K-argmax to buffers and rows allocated
+    once, and backward adds the weight and bias gradients over the clouds
+    in cloud order.
     """
     b, n, c = x.shape
+    rows = cloud_rows(knn, n)
     w1, b1 = fc1.weight.data, fc1.bias.data
     w2, b2 = fc2.weight.data, fc2.bias.data
     w_b = w1[c:]
     w_ab = w1[:c] - w_b
     x_i = x.data.reshape(b, n, 1, c)
-    gathered = not isinstance(neighbors, Tensor)
-    if gathered:
-        rows = cloud_rows(neighbors, n)
+    # the per-point vectors read in each centre's frame: psi's points, or
+    # the pose features a gate reads
+    vectors = None if frame is None else x if gate is None else code
+    in_frame = vectors is x
 
-    parents = {"x": x}
-    if not gathered:
-        parents["xj"] = neighbors
-    parents.update(w1=fc1.weight, b1=fc1.bias, w2=fc2.weight, b2=fc2.bias)
+    parents = {}
+    if vectors is not None:
+        # backward's depth-first walk must reach x's subgraph before the
+        # frame's and the pose features', as it does through the op-by-op
+        # form, so that tensors shared by both (frames, encoder features)
+        # sum their gradients in the same order
+        parents["frame"] = frame
+        if not in_frame:
+            parents["code"] = code
+        v = vectors.data.reshape(b, n, 3, -1)
+        ut = np.swapaxes(frame.data, -1, -2)[:, :, None]    # (B, N, 1, 3, 3)
+    parents.update(x=x, w1=fc1.weight, b1=fc1.bias, w2=fc2.weight, b2=fc2.bias)
     if gate is not None:
         parents.update(gw1=gate.fc1.weight, gb1=gate.fc1.bias,
                        gw2=gate.fc2.weight, gb2=gate.fc2.bias)
-    if code is not None:
-        # backward's depth-first walk must reach x's subgraph before the
-        # code's, as it does through the op-by-op form's gather, so that
-        # tensors shared by both (frames, encoder features) sum their
-        # gradients in the same order
-        parents = {"code": code, **parents}
+    edge = (1, n, knn.shape[2])             # one cloud's per-edge arrays
 
     # each helper takes the cloud `blk` and, in the forward, the per-cloud
     # buffers its per-edge results are written to
-    def neighbor_features(blk, out=None) -> np.ndarray:
-        if not gathered:
-            return neighbors.data[blk]
+    def project(blk, out) -> tuple[np.ndarray, np.ndarray]:
+        """U_i^T (v_j - c_i) and v_j - c_i, (1, N, K, 3, C)."""
         # cloud_rows has checked every index
-        return np.take(x.data[blk.start], rows[blk], axis=0, out=out, mode="clip")
+        d = np.take(v[blk.start], rows[blk], axis=0, out=out.get("d"), mode="clip")
+        if not in_frame:                    # the pose code's c_i = v_i
+            d -= v[blk, :, None]
+        return np.matmul(ut[blk], d, out=out.get("proj")), d
 
-    def gate_terms(xj: np.ndarray, blk, out=None):
-        """The gate's per-edge input, hidden layer and output."""
-        out = out or {}
-        if code is None:
+    def centre(blk) -> np.ndarray:
+        """The cloud's (N, C) x_i, psi's read in their own frames."""
+        if not in_frame:
+            return x.data[blk.start]
+        return (ut[blk, :, 0] @ v[blk]).reshape(n, c)
+
+    def neighbor_features(blk, out) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """The (1, N, K, C) x_j and, for psi, the points p_j it projects."""
+        if in_frame:
+            proj, d = project(blk, out)
+            return proj.reshape(edge + (c,)), d
+        return np.take(x.data[blk.start], rows[blk], axis=0, out=out.get("xj"),
+                       mode="clip"), None
+
+    def gate_terms(xj: np.ndarray, blk, out):
+        """The gate's per-edge input, hidden layer and output, and for the
+        pose code, v_j - v_i."""
+        d = None
+        if vectors is not None:
+            proj, d = project(blk, out)
+            inp = proj.reshape(xj.shape[:3] + (-1,))
+        elif code is None:
             inp = np.subtract(xj, x_i[blk], out=out.get("inp"))
         else:
-            inp = code.data[blk].reshape(xj.shape[:3] + (-1,))
+            inp = code[blk].reshape(xj.shape[:3] + (-1,))
         hid = np.matmul(inp, gate.fc1.weight.data, out=out.get("hid"))
         hid += gate.fc1.bias.data
         np.maximum(hid, 0.0, out=hid)
         gated = np.matmul(hid, gate.fc2.weight.data, out=out.get("gate"))
         gated += gate.fc2.bias.data
-        return inp, hid, gated
+        return inp, hid, gated, d
 
-    def hidden(edges: np.ndarray, blk, out=None) -> np.ndarray:
-        center = x.data[blk.start] @ w_ab
+    def hidden(edges: np.ndarray, center: np.ndarray, out=None) -> np.ndarray:
+        center = center @ w_ab
         center += b1
         h = np.matmul(edges, w_b, out=out)
         h += center[:, None]
@@ -261,7 +296,7 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
            if ad.recording(parents.values()) else None)
 
     def forward(blk, out):
-        edges = neighbor_features(blk, out.get("xj"))
+        edges = neighbor_features(blk, out)[0]
         if gate is not None:
             # only the gate's output outlives gate_terms, and it takes the
             # product in place
@@ -269,7 +304,7 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
             gated *= edges
             edges = gated
             del gated
-        h = hidden(edges, blk, out.get("h"))
+        h = hidden(edges, centre(blk), out.get("h"))
         del edges
         y = np.matmul(h, w2, out=out.get("y"))
         del h
@@ -285,26 +320,49 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
         top += b2
         return top
 
-    edge = (1, n, neighbors.shape[2])        # one cloud's per-edge arrays
     buffers = dict(h=edge + w_b.shape[1:], y=edge + w2.shape[1:])
-    if gathered:
+    if vectors is not None:
+        buffers.update(d=edge + v.shape[2:], proj=edge + v.shape[2:])
+    if not in_frame:
         buffers["xj"] = edge + (c,)
     if gate is not None:
         buffers.update(hid=edge + gate.fc1.weight.shape[1:], gate=edge + (c,))
-        if code is None:
+        if vectors is None and code is None:
             buffers["inp"] = edge + (c,)
+
+    def project_gradients(g_proj: np.ndarray, d: np.ndarray, blk,
+                          g_centre=None) -> dict[str, np.ndarray]:
+        """The frame's and the vectors' gradients from the cloud's gradient
+        `g_proj` of U_i^T (v_j - c_i) and, for psi, `g_centre` of U_i^T x_i."""
+        grads = {}
+        if frame.requires_grad:
+            g_ut = (g_proj @ np.swapaxes(d, -1, -2)).sum(axis=2)
+            if in_frame:
+                g_ut += g_centre @ np.swapaxes(v[blk], -1, -2)
+            grads["frame"] = np.swapaxes(g_ut, -1, -2)
+        if vectors.requires_grad:
+            g_d = np.swapaxes(ut[blk], -1, -2) @ g_proj
+            grad = ad.scatter_rows(g_d, rows[blk], n).reshape(v[blk].shape)
+            if in_frame:
+                grad += np.swapaxes(ut[blk, :, 0], -1, -2) @ g_centre
+            else:
+                grad += np.negative(g_d, out=g_d).sum(axis=2)
+            grads["x" if in_frame else "code"] = grad.reshape(
+                (1,) + vectors.shape[1:])
+        return grads
 
     def gradients(g: np.ndarray, blk: slice) -> dict[str, np.ndarray]:
         """Every parent's gradient that backward will ask for, from the
         cloud `blk`."""
         g = g[blk]
-        xj = neighbor_features(blk)
+        xj, d = neighbor_features(blk, {})
         if gate is None:
             edges = xj
         else:
-            inp, hid, gate_out = gate_terms(xj, blk)
+            inp, hid, gate_out, d = gate_terms(xj, blk, {})
             edges = gate_out * xj
-        h = hidden(edges, blk)
+        center = centre(blk)
+        h = hidden(edges, center)
         gy = np.zeros(h.shape[:3] + w2.shape[1:])
         np.put_along_axis(gy, idx[blk], g[:, :, None], axis=2)
         grads = {"w2": h.reshape(-1, h.shape[-1]).T @ gy.reshape(-1, gy.shape[-1]),
@@ -318,14 +376,15 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
         g_wb = edges.reshape(-1, c).T @ gh.reshape(-1, gh.shape[-1])
         del edges
         g_center = gh.sum(axis=2, keepdims=True)
+        # psi's frame takes its gradient through the projected x
+        through_x = x.requires_grad or (in_frame and frame.requires_grad)
         g_edge = None
-        if gate is not None or (x if gathered else neighbors).requires_grad:
+        if gate is not None or through_x:
             g_edge = gh @ w_b.T
         del gh
-        if x.requires_grad:
-            grads["x"] = (g_center.reshape(n, -1) @ w_ab.T).reshape(
-                g.shape[:2] + (c,))
-        g_ab = x_i[blk].reshape(-1, c).T @ g_center.reshape(-1, g_center.shape[-1])
+        if through_x:
+            g_x = (g_center.reshape(n, -1) @ w_ab.T).reshape(g.shape[:2] + (c,))
+        g_ab = center.T @ g_center.reshape(-1, g_center.shape[-1])
         grads["w1"] = np.concatenate([g_ab, g_wb - g_ab])
         grads["b1"] = g_center.sum(axis=(0, 1, 2))
         if gate is not None:
@@ -345,82 +404,41 @@ def inv_edge_conv(x: Tensor, neighbors, fc1: Linear, fc2: Linear,
             grads["gw1"] = (inp.reshape(-1, inp.shape[-1]).T
                             @ g_hid.reshape(-1, g_hid.shape[-1]))
             del inp
-            if code is None:
+            if vectors is not None:
+                grads.update(project_gradients(
+                    (g_hid @ gate.fc1.weight.data.T).reshape(d.shape), d, blk))
+            elif code is None:
                 # x_j - x_i: the x_j term joins the gating term before the
                 # scatter and the x_i term is summed over K, in the order
                 # the op-by-op form adds them
                 g_code = g_hid @ gate.fc1.weight.data.T
                 g_edge += g_code
                 if x.requires_grad:
-                    grads["x"] += np.negative(g_code, out=g_code).sum(axis=2)
+                    g_x += np.negative(g_code, out=g_code).sum(axis=2)
                 del g_code
-            elif code.requires_grad:
-                grads["code"] = (g_hid @ gate.fc1.weight.data.T).reshape(
-                    g.shape[:2] + code.shape[2:])
             del g_hid
-        if not gathered:
-            if neighbors.requires_grad:
-                grads["xj"] = g_edge
+        if in_frame and through_x:
+            grads.update(project_gradients(g_edge.reshape(d.shape), d, blk,
+                                           g_x.reshape(edge[:2] + (c, 1))))
         elif x.requires_grad:
-            grads["x"] += ad.scatter_rows(g_edge, rows[blk], n).reshape(
-                g.shape[:2] + (c,))
+            g_x += ad.scatter_rows(g_edge, rows[blk], n).reshape(g_x.shape)
+            grads["x"] = g_x
         return grads
 
     return over_clouds("inv_edge_conv", parents, forward, gradients,
-                       ("x", "xj", "code"), **buffers)
+                       ("x", "code", "frame"), **buffers)
 
 
 # ---------------------------------------------------------------------------
 # relative pose codes
 
 
-def rpr_code(frame: fr.Frame, equivariant: Tensor, knn: np.ndarray) -> Tensor:
-    """Per-edge code U_r^T (v_j - v_r): the frame cancels any input rotation,
-    so the code is invariant while still carrying inter-patch pose.
-
-    `equivariant` is (B, N, 3, C) per point and `knn` the (B, N, K) index;
-    returns (B, N, K, 3, C).  The `coordinate` pose source is this code of
-    the points as one vector channel, (B, N, 3, 1).  One tape node that
-    keeps only its per-point parents; its one gradient callback forms the
-    differences again with the same arithmetic for the frame's gradient,
-    then scatters the features' gradient back to rows.  Forward and backward
-    run one cloud at a time (`over_clouds`).
-    """
-    b, n = equivariant.shape[0], equivariant.shape[1]
-    rows = cloud_rows(knn, n)
-    v = equivariant.data
-    ut = np.swapaxes(frame.matrix.data, -1, -2).reshape(b, n, 1, 3, 3)
-
-    def diff(blk) -> np.ndarray:
-        d = v[blk.start][rows[blk]]
-        d -= v[blk, :, None]
-        return d
-
-    def gradients(g, blk):
-        g = g[blk]
-        grads = {}
-        if frame.matrix.requires_grad:
-            g_ut = (g @ np.swapaxes(diff(blk), -1, -2)).sum(axis=2)
-            grads["frame"] = np.swapaxes(g_ut, -1, -2)
-        if equivariant.requires_grad:
-            g_diff = np.swapaxes(ut[blk], -1, -2) @ g
-            grad = ad.scatter_rows(g_diff, rows[blk], n).reshape(v[blk].shape)
-            grad += np.negative(g_diff, out=g_diff).sum(axis=2)
-            grads["v"] = grad
-        return grads
-
-    # frame first: backward's depth-first walk then reaches the features'
-    # subgraph before the frame's, as through the op-by-op form
-    parents = {"frame": frame.matrix, "v": equivariant}
-    return over_clouds("rpr_code", parents, lambda blk, _: ut[blk] @ diff(blk),
-                       gradients, ("frame", "v"))
-
-
-def handcrafted_ppf_code(points: np.ndarray, knn: np.ndarray) -> Tensor:
+def handcrafted_ppf_code(points: np.ndarray, knn: np.ndarray) -> np.ndarray:
     """Distance/angle 4-vector per edge, rotation-invariant by construction:
     (|d|, angle(d, p_r - c), angle(d, p_j - c), angle(p_r - c, p_j - c))
     with d = p_j - p_r and c the cloud centroid.  A stand-in for richer
-    point-pair features from the literature; computed outside the graph."""
+    point-pair features from the literature; a (B, N, K, 4) constant,
+    computed outside the graph."""
     pts = np.asarray(points, dtype=np.float64)
     centroid = pts.mean(axis=1, keepdims=True)
     rel = pts - centroid                                   # (B,N,3)
@@ -435,10 +453,9 @@ def handcrafted_ppf_code(points: np.ndarray, knn: np.ndarray) -> Tensor:
         return np.arccos(np.clip((u * v).sum(-1) / denom, -1.0, 1.0))
 
     rel_r = np.broadcast_to(rel[:, :, None, :], d.shape)
-    code = np.stack([np.linalg.norm(d, axis=-1),
+    return np.stack([np.linalg.norm(d, axis=-1),
                      angle(d, rel_r), angle(d, rel_j),
                      angle(rel_r, rel_j)], axis=-1)
-    return Tensor(code)
 
 
 # ---------------------------------------------------------------------------
@@ -670,28 +687,6 @@ class FusionModel:
             return fr.gram_schmidt_frame(pair, fallback=fallback)
         return fr.lcrf_frame(pair, fallback=fallback)
 
-    def _pose_features(self, points: Tensor,
-                       veq: Optional[Tensor]) -> Optional[Tensor]:
-        """The per-point (B,N,3,C) features whose `rpr_code` is the pose
-        code: the points as one vector channel for the `coordinate` source,
-        the projected equivariant features for `equivariant`; else None."""
-        source = self.config.rpr_source
-        if source == "coordinate":
-            b, n = points.shape[0], points.shape[1]
-            return ad.reshape(points, (b, n, 3, 1))
-        if source == "equivariant":
-            return ad.matmul(veq, self.rpr_proj)
-        return None
-
-    def _pose_code(self, frame: fr.Frame, points: Tensor,
-                   features: Optional[Tensor], knn: np.ndarray) -> Optional[Tensor]:
-        """Per-edge relative-pose code, (B,N,K,D) or (B,N,K,3,C), from the
-        `_pose_features`; None for the `invariant` source, whose gate reads
-        the edge convolution's own feature difference x_j - x_i."""
-        if self.config.rpr_source == "handcrafted-ppf":
-            return handcrafted_ppf_code(points.data, knn)
-        return None if features is None else rpr_code(frame, features, knn)
-
     def forward(self, points: np.ndarray) -> ForwardOutput:
         """Run both branches on a (B, N, 3) batch."""
         if np.ndim(points) != 3 or np.shape(points)[-1] != 3:
@@ -714,28 +709,28 @@ class FusionModel:
         frame = self._build_frames(pts, knn_coord, pair)
 
         # first invariant convolution on frame-projected geometry: point i
-        # and its neighbors, all seen in frame i, U_i^T p_i and U_i^T p_j
-        ut = ad.swap_last_axes(frame.matrix)
-        p_local = ad.reshape(ad.matmul(ut, ad.reshape(pts, (b, n, 3, 1))),
-                             (b, n, 3))
-        pj = ad.reshape(gather_neighbors(pts, knn_coord), (b, n, cfg.k, 3, 1))
-        pj_local = ad.reshape(ad.matmul(ad.reshape(ut, (b, n, 1, 3, 3)), pj),
-                              (b, n, cfg.k, 3))
-        x = inv_edge_conv(p_local, pj_local, self.psi.fc1, self.psi.fc2)
+        # and its neighbours, all seen in frame i, U_i^T p_i and U_i^T p_j
+        x = inv_edge_conv(pts, knn_coord, self.psi.fc1, self.psi.fc2,
+                          frame=frame.matrix)
 
         # later layers on a dynamic graph with optional pose gating; the
-        # pose features are built once, and on the coordinate graph both
-        # gated layers share one code
-        features = self._pose_features(pts, veq)
-        code = None
+        # gate reads the pose features in each centre's frame, U_i^T (v_j -
+        # v_i): the points as one vector channel for the `coordinate`
+        # source, the projected equivariant features for `equivariant`
+        source = cfg.rpr_source
+        code, code_frame = None, None
+        if source == "coordinate":
+            code, code_frame = ad.reshape(pts, (b, n, 3, 1)), frame.matrix
+        elif source == "equivariant":
+            code, code_frame = ad.matmul(veq, self.rpr_proj), frame.matrix
         for phi, gate in zip((self.phi1, self.phi2), self.gates):
             if cfg.graph_metric == "feature":
                 idx = self._feature_graph(x.data)
             else:
                 idx = knn_coord
-            if gate is not None and (code is None or cfg.graph_metric == "feature"):
-                code = self._pose_code(frame, pts, features, idx)
-            x = inv_edge_conv(x, idx, phi.fc1, phi.fc2, gate, code)
+            if source == "handcrafted-ppf":
+                code = handcrafted_ppf_code(points, idx)
+            x = inv_edge_conv(x, idx, phi.fc1, phi.fc2, gate, code, code_frame)
 
         pooled_inv = ad.tmax(x, axis=1)
         logits_inv = self.cls_inv(pooled_inv)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from rotinv import autodiff as ad
 from rotinv.gradcheck import check_tensor_gradient, finite_difference_gradient
-from rotinv.network import inv_edge_conv, rpr_code
-from rotinv.vecneuron import gather_neighbors, vn_edge_conv
+from rotinv.network import inv_edge_conv
+from rotinv.vecneuron import vn_edge_conv
 
 
 class TestForwardBasics:
@@ -214,8 +214,17 @@ class TestGradientCallback:
             out = vn_edge_conv(param("v", 1, 3, 3, 2), knn, param("w", 4, 3),
                                param("d", 3, 1))
         else:
-            out = rpr_code(SimpleNamespace(matrix=param("u", 1, 3, 3, 3)),
-                           param("v", 1, 3, 3, 2), knn)
+            # the pose code U_i^T (v_j - v_i) of a gated convolution on
+            # constant features: its one scatter is the pose features'
+            gate = SimpleNamespace(
+                fc1=SimpleNamespace(weight=param("gw1", 6, 2), bias=param("gb1", 2)),
+                fc2=SimpleNamespace(weight=param("gw2", 2, 2), bias=param("gb2", 2)))
+            out = inv_edge_conv(ad.Tensor(rng.standard_normal((1, 3, 2))), knn,
+                                SimpleNamespace(weight=param("w1", 4, 3),
+                                                bias=param("b1", 3)),
+                                SimpleNamespace(weight=param("w2", 3, 2),
+                                                bias=param("b2", 2)),
+                                gate, param("v", 1, 3, 3, 2), param("u", 1, 3, 3, 3))
         calls = []
         real = ad.scatter_rows
 
@@ -285,32 +294,39 @@ PRIMITIVE_CASES = [
         ad.reshape(t[:, :3], (2, 2, 3, 1)), KNN_TWO_CLOUDS,
         ad.reshape(t[2, :4], (2, 2)), ad.reshape(t[3, 3:], (2, 1)))
         * ad.Tensor(CONST_453[:, :3, :2].reshape(2, 2, 3, 2)))),
-    # one invariant edge convolution with x, x_j, W1, b1, W2 and b2 all
-    # functions of t; the graph repeats neighbours and lists a point as its own
+    # psi's invariant edge convolution: the points, read in each centre's
+    # frame, the frame, W1, b1, W2 and b2 all functions of t; the graph
+    # repeats neighbours and lists a point as its own
     ("inv_edge_conv", lambda t: ad.tsum(inv_edge_conv(
-        ad.reshape(t[0, :4], (1, 2, 2)),
-        gather_neighbors(ad.reshape(t[1, 1:] * t[1, 1:], (1, 2, 2)), KNN_ONE_CLOUD),
-        SimpleNamespace(weight=t[:, 2:], bias=t[2, :3]),
-        SimpleNamespace(weight=ad.transpose(t[1:3, 2:], (1, 0)), bias=t[0, 3:]))
+        ad.reshape(t[1:3, 2:], (1, 2, 3)), KNN_ONE_CLOUD,
+        SimpleNamespace(weight=ad.reshape(t[:, :3], (6, 2)), bias=t[2, :2]),
+        SimpleNamespace(weight=t[2:4, 3:], bias=t[0, 3:]),
+        frame=ad.reshape(ad.reshape(t, (20,))[:18], (1, 2, 3, 3)))
         * ad.Tensor(CONST_453[0, :2, :2].reshape(1, 2, 2)))),
-    # the same convolution on the neighbour index, gated by the pose gate on
-    # a per-edge code and on the edges' own feature difference (code None),
-    # with the code and the gate's four parameters functions of t too
+    # the convolution on the neighbour index, gated by the pose gate on a
+    # per-edge constant code and on the edges' own feature difference (code
+    # None), with the gate's four parameters functions of t too
     *[(name, lambda t, code=code: ad.tsum(inv_edge_conv(
         ad.reshape(t[0, :4], (1, 2, 2)), KNN_ONE_CLOUD,
         SimpleNamespace(weight=t[:, 2:], bias=t[2, :3]),
         SimpleNamespace(weight=ad.transpose(t[1:3, 2:], (1, 0)), bias=t[0, 3:]),
         SimpleNamespace(fc1=SimpleNamespace(weight=t[2:4, :2], bias=t[3, 2:4]),
                         fc2=SimpleNamespace(weight=t[:2, 1:3], bias=t[1, 3:] + 1.0)),
-        ad.reshape(t[1:, 1:] * t[1:, 1:], (1, 2, 3, 2)) if code else None)
+        CONST_453.reshape(-1)[:12].reshape(1, 2, 3, 2) if code else None)
         * ad.Tensor(CONST_453[0, :2, :2].reshape(1, 2, 2))))
       for name, code in (("gated_inv_edge_conv", True),
                          ("gated_inv_edge_conv_invariant", False))],
-    # U^T (v_j - v_r) with the frame matrix and the features functions of t
-    ("rpr_code", lambda t: ad.tsum(rpr_code(
-        SimpleNamespace(matrix=ad.reshape(ad.reshape(t, (20,))[:18], (1, 2, 3, 3))),
-        ad.reshape(t[1:3, :3] * t[1:3, :3], (1, 2, 3, 1)), KNN_ONE_CLOUD)
-        * ad.Tensor(CONST_453.reshape(-1)[:18].reshape(1, 2, 3, 3, 1)))),
+    # the same gated convolution on the pose code U_i^T (v_j - v_i), with
+    # the frame matrix and the features functions of t too
+    ("rpr_code", lambda t: ad.tsum(inv_edge_conv(
+        ad.reshape(t[0, :4], (1, 2, 2)), KNN_ONE_CLOUD,
+        SimpleNamespace(weight=t[:, 2:], bias=t[2, :3]),
+        SimpleNamespace(weight=ad.transpose(t[1:3, 2:], (1, 0)), bias=t[0, 3:]),
+        SimpleNamespace(fc1=SimpleNamespace(weight=t[1:4, :2], bias=t[3, 2:4]),
+                        fc2=SimpleNamespace(weight=t[:2, 1:3], bias=t[1, 3:] + 1.0)),
+        ad.reshape(t[1:3, :3] * t[1:3, :3], (1, 2, 3, 1)),
+        ad.reshape(ad.reshape(t, (20,))[:18], (1, 2, 3, 3)))
+        * ad.Tensor(CONST_453[0, :2, :2].reshape(1, 2, 2)))),
 ]
 
 

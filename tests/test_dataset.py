@@ -2,8 +2,22 @@ import numpy as np
 import pytest
 
 from rotinv.dataset import (SHAPE_FAMILIES, DatasetSpec, SyntheticDataset,
-                            generate_dataset, handcrafted_descriptor,
-                            sample_shape)
+                            generate_dataset, sample_shape)
+from rotinv.geometry import PointCloud
+
+
+def handcrafted_descriptor(cloud: PointCloud) -> np.ndarray:
+    """Rotation-invariant summary: radial-distance quantiles, covariance
+    eigenvalues, and nearest-neighbor spacing statistics."""
+    pts = cloud.points
+    radii = np.linalg.norm(pts, axis=1)
+    quantiles = np.quantile(radii, np.linspace(0.05, 0.95, 10))
+    cov = np.cov(pts.T)
+    eigs = np.sort(np.linalg.eigvalsh(cov))
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+    np.fill_diagonal(d2, np.inf)
+    nn = np.sqrt(d2.min(axis=1))
+    return np.concatenate([quantiles, eigs, [radii.std(), nn.mean(), nn.std()]])
 
 
 def nearest_neighbor_accuracy(dataset: SyntheticDataset) -> float:

@@ -15,12 +15,12 @@ from rotinv.network import (COMPONENT_ABLATION_ROWS, FRAME_ABLATION_ROWS,
                             FusionModel,
                             Mlp, ModelConfig, cross_entropy, fuse_attention,
                             handcrafted_ppf_code, inv_edge_conv,
-                            mean_knn_consistency, named_config, rpr_code,
-                            total_loss)
+                            mean_knn_consistency, named_config, total_loss)
 from rotinv.vecneuron import gather_neighbors
 
 from conftest import (BLOCK_SHAPES, TINY_MODEL, assert_batch_is_its_clouds,
                       join_clouds)
+from test_vecneuron import composed_inv_edge_conv
 
 
 def centered_cloud_batch(rng, b=2, n=20):
@@ -30,32 +30,68 @@ def centered_cloud_batch(rng, b=2, n=20):
     return pts
 
 
-def composed_rpr_code(frame, equivariant, knn):
-    """Reference form of rpr_code, op by op: gather, difference and the
-    transposed frame's product.  The features pass through one identity
-    reshape first, so that, as from the node, each code sends them one
-    gradient: both gated layers read one projection, and its gradient is
-    then the sum of two terms in either form."""
-    b, n = equivariant.shape[0], equivariant.shape[1]
-    equivariant = ad.reshape(equivariant, equivariant.shape)
-    vj = gather_neighbors(equivariant, knn)
-    diff = vj - ad.reshape(equivariant, (b, n, 1) + equivariant.shape[2:])
-    ut = ad.swap_last_axes(frame.matrix)
+def composed_rpr_code(frame, features, knn):
+    """Reference form of the pose code U_i^T (v_j - v_i), op by op: gather,
+    difference and the transposed frame's product.  The features pass
+    through one identity reshape first, so that, as into the node, each
+    code sends them one gradient: both gated layers read one projection,
+    and its gradient is then the sum of two terms in either form."""
+    b, n = features.shape[0], features.shape[1]
+    features = ad.reshape(features, features.shape)
+    vj = gather_neighbors(features, knn)
+    diff = vj - ad.reshape(features, (b, n, 1) + features.shape[2:])
+    ut = ad.swap_last_axes(frame)
     return ad.matmul(ad.reshape(ut, (b, n, 1, 3, 3)), diff)
 
 
-def composed_gated_edge_conv(x, neighbors, fc1, fc2, gate=None, code=None):
-    """Reference form of inv_edge_conv on a neighbour index: gather_neighbors,
-    the gate Mlp on the code (or on x_j - x_i without one), the gating mul,
-    and the ungated node on the per-edge result."""
-    if isinstance(neighbors, ad.Tensor):
-        return inv_edge_conv(x, neighbors, fc1, fc2)
-    xj = gather_neighbors(x, neighbors)
+def composed_gated_edge_conv(x, knn, fc1, fc2, gate=None, code=None,
+                             frame=None):
+    """Reference form of inv_edge_conv, op by op: the gather, for psi (a
+    frame, no gate) the frame products U_i^T x_i and U_i^T x_j, the gate Mlp
+    on the pose code (`composed_rpr_code`), on a constant per-edge code or
+    on x_j - x_i, the gating mul, and the edge linear, relu, fc2 and max."""
+    b, n = x.shape[0], x.shape[1]
+    xj = gather_neighbors(x, knn)
+    if frame is not None and gate is None:
+        ut = ad.swap_last_axes(frame)
+        xj = ad.reshape(ad.matmul(ad.reshape(ut, (b, n, 1, 3, 3)),
+                                  ad.reshape(xj, knn.shape + (3, 1))),
+                        knn.shape + (3,))
+        x = ad.reshape(ad.matmul(ut, ad.reshape(x, (b, n, 3, 1))), (b, n, 3))
     if gate is not None:
-        if code is None:
-            code = xj - ad.reshape(x, x.shape[:2] + (1, x.shape[-1]))
+        if frame is not None:
+            code = composed_rpr_code(frame, code, knn)
+        elif code is None:
+            code = xj - ad.reshape(x, (b, n, 1, x.shape[-1]))
+        else:
+            code = ad.Tensor(code)
         xj = gate(ad.reshape(code, code.shape[:3] + (-1,))) * xj
-    return inv_edge_conv(x, xj, fc1, fc2)
+    return composed_inv_edge_conv(x, xj, fc1, fc2)
+
+
+def pose_code(frame, features, knn):
+    """The per-edge pose code U_i^T (v_j - v_i), (B, N, K, 3, C), of the
+    (B, N, 3, 3) `frame` and (B, N, 3, C) `features` arrays, read exactly
+    through inv_edge_conv: one node per neighbour column, on one neighbour,
+    whose gate passes the code c on as [c, -c] and whose layers turn that
+    back into relu(c) - relu(-c) = c; every other term of their products
+    is an exact zero."""
+    b, n, _, channels = features.shape
+    eye = np.eye(3 * channels)
+    split = np.hstack([eye, -eye])                       # c -> [c, -c]
+
+    def linear(weight):
+        return SimpleNamespace(weight=ad.Tensor(weight),
+                               bias=ad.Tensor(np.zeros(weight.shape[1])))
+
+    gate = SimpleNamespace(fc1=linear(split), fc2=linear(np.vstack([split, -split])))
+    fc1 = linear(np.vstack([np.eye(2 * eye.shape[0])] * 2))
+    fc2 = linear(np.vstack([eye, -eye]))
+    ones = ad.Tensor(np.ones((b, n, 2 * eye.shape[0])))
+    columns = [inv_edge_conv(ones, knn[:, :, k:k + 1], fc1, fc2, gate,
+                             ad.Tensor(features), ad.Tensor(frame)).data
+               for k in range(knn.shape[2])]
+    return np.stack(columns, axis=2).reshape(knn.shape + (3, channels))
 
 
 class TestModelConfig:
@@ -99,6 +135,10 @@ class TestModelConfig:
 
 
 class TestPoseCodes:
+    """The relative pose code U_i^T (v_j - v_i), which inv_edge_conv forms
+    inside the node for its gate: read exactly by `pose_code`, and as the
+    gated node's output and gradients."""
+
     def make_inputs(self, rng, c=3):
         pts = centered_cloud_batch(rng, b=1, n=12)
         knn = knn_graph(pts[0], 4)[None]
@@ -109,20 +149,34 @@ class TestPoseCodes:
         frame = fr.lcrf_frame(pair)
         return pts, knn, veq, frame
 
+    @staticmethod
+    def gated(rng, channels, **kw):
+        """A gated case of TestGatedEdgeConv whose gate reads the pose code
+        of `channels` feature channels."""
+        case = TestGatedEdgeConv().inputs(rng, "equivariant", **kw)
+        case["code"] = rng.standard_normal(case["code"].shape[:-1] + (channels,))
+        params = case["params"]
+        params[4] = rng.standard_normal((3 * channels,) + params[4].shape[1:])
+        return case
+
+    def test_pose_code_reads_the_code_exactly(self, rng):
+        _, knn, veq, frame = self.make_inputs(rng)
+        ref = composed_rpr_code(frame.matrix, ad.Tensor(veq), knn).data
+        assert np.array_equal(pose_code(frame.data, veq, knn), ref)
+
     def test_equal_features_give_zero_code(self, rng):
         pts, knn, veq, frame = self.make_inputs(rng)
         same = np.broadcast_to(veq[:, :1], veq.shape).copy()
-        code = rpr_code(frame, ad.Tensor(same), knn)
-        np.testing.assert_allclose(code.data, 0.0, atol=1e-12)
+        np.testing.assert_allclose(pose_code(frame.data, same, knn), 0.0,
+                                   atol=1e-12)
 
     def test_code_invariant_under_rotation(self, rng):
         pts, knn, veq, frame = self.make_inputs(rng)
         rot = sample_rotation_so3(0).matrix
-        code = rpr_code(frame, ad.Tensor(veq), knn).data
+        code = pose_code(frame.data, veq, knn)
         veq_rot = np.einsum("ij,bnjc->bnic", rot, veq)
-        frame_rot = fr.Frame(ad.Tensor(np.einsum("ij,bnjk->bnik", rot,
-                                                 frame.data)), "lcrf")
-        code_rot = rpr_code(frame_rot, ad.Tensor(veq_rot), knn).data
+        frame_rot = np.einsum("ij,bnjk->bnik", rot, frame.data)
+        code_rot = pose_code(frame_rot, veq_rot, knn)
         scale = max(np.abs(code).max(), 1e-12)
         assert np.abs(code_rot - code).max() / scale <= 1e-9
 
@@ -133,99 +187,110 @@ class TestPoseCodes:
         veq = np.zeros((1, 12, 3, 1))
         neighbor = knn[0, 0, 0]
         veq[0, neighbor, :, 0] = u1[0, 0]
-        code = rpr_code(frame, ad.Tensor(veq), knn).data
+        code = pose_code(frame.data, veq, knn)
         np.testing.assert_allclose(code[0, 0, 0, :, 0], [1.0, 0.0, 0.0],
                                    atol=1e-9)
 
     def test_coordinate_code_zero_for_coincident_points(self, rng):
-        # the coordinate source is rpr_code of the points as one channel
+        # the coordinate source is the code of the points as one channel
         pts, knn, _, frame = self.make_inputs(rng)
         same = np.broadcast_to(pts[:, :1], pts.shape).copy()
-        code = rpr_code(frame, ad.Tensor(same.reshape(1, 12, 3, 1)), knn)
+        code = pose_code(frame.data, same.reshape(1, 12, 3, 1), knn)
         assert code.shape == (1, 12, 4, 3, 1)
-        np.testing.assert_allclose(code.data, 0.0, atol=1e-12)
+        np.testing.assert_allclose(code, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("channels", (1, 3))
     def test_matches_composed_form(self, rng, channels):
         # value and gradients bit-identical to the op-by-op gather,
-        # difference and frame product.  The frame and the features come
-        # from one leaf that reaches the frame twice, so the leaf sums three
-        # gradient terms, in an order set by which parent backward's
-        # depth-first walk visits first.
+        # difference, frame product, gate and edge linear.  The frame and
+        # the features come from one leaf that reaches the frame twice, so
+        # the leaf sums three gradient terms, in an order set by which
+        # parent backward's depth-first walk visits first.
         _, knn, veq, frame = self.make_inputs(rng, c=channels)
         knn[0, 2] = 5                               # repeated neighbours
-        weights = ad.Tensor(rng.standard_normal((1, 12, 4, 3, channels)))
+        case = self.gated(rng, channels, b=1, n=12, k=4)
+        weights = ad.Tensor(case["weights"])
         runs = []
-        for fn in (rpr_code, composed_rpr_code):
+        for fn in (inv_edge_conv, composed_gated_edge_conv):
             leaf = ad.Tensor(frame.data, requires_grad=True)
             matrix = leaf + leaf * 2.0
             v = leaf[..., :channels] * ad.Tensor(veq)
-            out = fn(fr.Frame(matrix, "lcrf"), v, knn)
+            fc1, fc2, gate = TestGatedEdgeConv.layers(case["params"])
+            out = fn(ad.Tensor(case["x"]), knn, fc1, fc2, gate, v, matrix)
             ad.backward(ad.tsum(out * weights))
             runs.append((out, leaf.grad))
         (out, grad), (ref, ref_grad) = runs
-        assert out._op == "rpr_code" and len(out._parents) == 2
+        assert out._op == "inv_edge_conv" and len(out._parents) == 10
         assert np.array_equal(out.data, ref.data)
         assert np.array_equal(grad, ref_grad)
 
     def test_constant_inputs_record_nothing(self, rng):
         _, knn, veq, frame = self.make_inputs(rng)
-        code = rpr_code(frame, ad.Tensor(veq), knn)
-        assert not code.requires_grad and code._parents == ()
-        with ad.no_grad():
-            plain = rpr_code(fr.Frame(ad.Tensor(frame.data, requires_grad=True),
-                                      "lcrf"),
-                             ad.Tensor(veq, requires_grad=True), knn)
-        assert not plain.requires_grad and plain._parents == ()
-        assert np.array_equal(plain.data, code.data)
+        case = self.gated(rng, 3, b=1, n=12, k=4)
+        p = case["params"]
+        fc1, fc2, gw1, gw2 = (SimpleNamespace(weight=ad.Tensor(w), bias=ad.Tensor(bias))
+                              for w, bias in zip(p[::2], p[1::2]))
+        out = inv_edge_conv(ad.Tensor(case["x"]), knn, fc1, fc2,
+                            SimpleNamespace(fc1=gw1, fc2=gw2), ad.Tensor(veq),
+                            frame.matrix)
+        assert not out.requires_grad and out._parents == ()
         # unrecorded, the node gives the recorded bits at every shape
         for b, n, k in BLOCK_SHAPES:
-            matrix = np.linalg.qr(rng.standard_normal((b, n, 3, 3)))[0]
-            v = rng.standard_normal((b, n, 3, 2))
-            knn = rng.integers(0, n, (b, n, k))
-            def code():
-                return rpr_code(fr.Frame(ad.Tensor(matrix, requires_grad=True),
-                                         "lcrf"),
-                                ad.Tensor(v, requires_grad=True), knn)
+            case = self.gated(rng, 2, b=b, n=n, k=k)
 
-            recorded = code()
+            def node():
+                fc1, fc2, gate = TestGatedEdgeConv.layers(case["params"])
+                return inv_edge_conv(ad.Tensor(case["x"]), case["knn"], fc1, fc2,
+                                     gate, ad.Tensor(case["code"], True),
+                                     ad.Tensor(case["frame"], True))
+
+            recorded = node()
             with ad.no_grad():
-                plain = code()
+                plain = node()
             assert recorded.requires_grad and not plain.requires_grad
             assert np.array_equal(plain.data, recorded.data)
 
     @pytest.mark.parametrize("b,n,k", BLOCK_SHAPES)
     def test_one_cloud_per_block_matches_one_block(self, rng, b, n, k):
-        knn = rng.integers(0, n, (b, n, k))
-        knn[0, 1] = 3                             # one neighbour K times
-        assert_batch_is_its_clouds(
-            lambda clouds, m, v: rpr_code(fr.Frame(m, "lcrf"), v, knn[clouds]),
-            [rng.standard_normal((b, n, 3, 3)), rng.standard_normal((b, n, 3, 2))],
-            [])
+        case = self.gated(rng, 2, b=b, n=n, k=k)
+        knn = case["knn"]
+
+        def node(clouds, x, v, matrix, *w):
+            fc1, fc2, gw1, gw2 = (SimpleNamespace(weight=w[i], bias=w[i + 1])
+                                  for i in range(0, 8, 2))
+            return inv_edge_conv(x, knn[clouds], fc1, fc2,
+                                 SimpleNamespace(fc1=gw1, fc2=gw2), v, matrix)
+
+        assert_batch_is_its_clouds(node, [case["x"], case["code"], case["frame"]],
+                                   case["params"])
 
     def test_out_of_range_neighbour_rejected(self, rng):
         _, knn, veq, frame = self.make_inputs(rng)
         for bad in (12, -1):
             knn[0, 0, 0] = bad
             with pytest.raises(ValueError):
-                rpr_code(frame, ad.Tensor(veq), knn)
+                pose_code(frame.data, veq, knn)
 
     def test_gradient(self, rng):
         _, knn, veq, frame = self.make_inputs(rng, c=2)
-        weights = ad.Tensor(rng.standard_normal((1, 12, 4, 3, 2)))
-        err = check_tensor_gradient(
-            lambda t: ad.tsum(rpr_code(frame, t, knn) * weights), veq)
+        case = self.gated(rng, 2, b=1, n=12, k=4, c=2, hidden=4, c_out=3)
+        weights = ad.Tensor(case["weights"])
+
+        def conv(v, matrix):
+            fc1, fc2, gate = TestGatedEdgeConv.layers(case["params"])
+            return ad.tsum(inv_edge_conv(ad.Tensor(case["x"]), knn, fc1, fc2,
+                                         gate, v, matrix) * weights)
+
+        err = check_tensor_gradient(lambda t: conv(t, frame.matrix), veq)
         assert err <= 1e-4
-        err = check_tensor_gradient(
-            lambda t: ad.tsum(rpr_code(fr.Frame(t, "lcrf"), ad.Tensor(veq), knn)
-                              * weights), frame.data)
+        err = check_tensor_gradient(lambda t: conv(ad.Tensor(veq), t), frame.data)
         assert err <= 1e-4
 
     def test_ppf_code_rotation_invariant(self, rng):
         pts, knn, _, _ = self.make_inputs(rng)
         rot = sample_rotation_so3(1).matrix
-        a = handcrafted_ppf_code(pts, knn).data
-        b = handcrafted_ppf_code(pts @ rot.T, knn).data
+        a = handcrafted_ppf_code(pts, knn)
+        b = handcrafted_ppf_code(pts @ rot.T, knn)
         assert np.abs(a - b).max() <= 1e-9
 
     def test_all_sources_finite(self, rng):
@@ -515,33 +580,44 @@ def test_mean_knn_consistency_identity_frames():
     assert mean_knn_consistency(frames, knn, 2) == pytest.approx(1.0)
 
 
-# per-edge code shapes of the pose sources; None gates by x_j - x_i
+# the gate's input per pose source: per-point features read in each
+# centre's frame, a per-edge constant code, or None for x_j - x_i; psi's
+# ungated input, its points read in each centre's frame, is "projected"
 CODE_SHAPES = {"equivariant": (3, 2), "coordinate": (3, 1),
                "handcrafted-ppf": (4,), "invariant": None}
+IN_FRAME = ("equivariant", "coordinate", "projected")
+SOURCES = sorted(CODE_SHAPES) + ["projected"]
 
 
 class TestGatedEdgeConv:
-    """inv_edge_conv on a neighbour index, with and without the pose gate,
-    against gather_neighbors -> Mlp -> mul -> ungated inv_edge_conv run on
-    each cloud alone: the same bits in the value and in every gradient, the
-    weights' summed over the clouds in cloud order."""
+    """inv_edge_conv on a neighbour index, with and without the pose gate
+    and the frame projection, against the op-by-op form
+    (`composed_gated_edge_conv`) run on each cloud alone: the same bits in
+    the value and in every gradient, the weights' summed over the clouds in
+    cloud order."""
 
     def inputs(self, rng, source, b=2, n=9, k=4, c=5, hidden=6, c_out=7,
                gate_hidden=3):
+        if source == "projected":
+            c = 3                                   # psi reads 3-vectors
         x = rng.standard_normal((b, n, c))
         knn = rng.integers(0, n, (b, n, k))
         knn[0, 1] = 3                             # one neighbour K times
         knn[-1, :, 0] = 2                         # everyone's first neighbour
-        shape = CODE_SHAPES[source]
-        code = None if shape is None else rng.standard_normal((b, n, k) + shape)
+        shape = CODE_SHAPES.get(source)
+        code = None
+        if shape is not None:
+            per = (b, n) if source in IN_FRAME else (b, n, k)
+            code = rng.standard_normal(per + shape)
+        frame = rng.standard_normal((b, n, 3, 3)) if source in IN_FRAME else None
         gate_in = c if shape is None else int(np.prod(shape))
         params = [rng.standard_normal(s) for s in
                   ((2 * c, hidden), (hidden,), (hidden, c_out), (c_out,),
                    (gate_in, gate_hidden), (gate_hidden,), (gate_hidden, c),
                    (c,))]
-        return dict(x=x, knn=knn, code=code, params=params,
+        return dict(x=x, knn=knn, code=code, frame=frame, params=params,
                     weights=rng.standard_normal((b, n, c_out)),
-                    code_grad=source != "handcrafted-ppf")
+                    gated=source != "projected")
 
     @staticmethod
     def layers(params, gated=True):
@@ -557,18 +633,30 @@ class TestGatedEdgeConv:
             p.data = value
         return fc1, fc2, gate
 
-    def run(self, fn, case, gated=True, x_grad=True, clouds=slice(None)):
+    @staticmethod
+    def leaves(case, gated=True, x_grad=True, clouds=slice(None)):
+        """The node's x, code and frame for the clouds `clouds`: the
+        per-point code and the frame as Tensors that take a gradient, a
+        per-edge code as a constant array."""
+        gated = gated and case["gated"]
         x = ad.Tensor(case["x"][clouds], requires_grad=x_grad)
-        code = (None if case["code"] is None or not gated
-                else ad.Tensor(case["code"][clouds],
-                               requires_grad=case["code_grad"]))
-        fc1, fc2, gate = self.layers(case["params"], gated)
-        out = fn(x, case["knn"][clouds], fc1, fc2, gate, code)
+        code = None if case["code"] is None or not gated else case["code"][clouds]
+        frame = None
+        if case["frame"] is not None and (gated or not case["gated"]):
+            frame = ad.Tensor(case["frame"][clouds], requires_grad=True)
+            if code is not None:
+                code = ad.Tensor(code, requires_grad=True)
+        return x, code, frame
+
+    def run(self, fn, case, gated=True, x_grad=True, clouds=slice(None)):
+        x, code, frame = self.leaves(case, gated, x_grad, clouds)
+        fc1, fc2, gate = self.layers(case["params"], gated and case["gated"])
+        out = fn(x, case["knn"][clouds], fc1, fc2, gate, code, frame)
         ad.backward(ad.tsum(out * ad.Tensor(case["weights"][clouds])))
         params = [fc1.weight, fc1.bias, fc2.weight, fc2.bias]
         params += [] if gate is None else gate.parameters()
-        return out, [x.grad, None if code is None else code.grad] + [
-            p.grad for p in params]
+        return out, [t.grad if isinstance(t, ad.Tensor) else None
+                     for t in (x, code, frame)] + [p.grad for p in params]
 
     def assert_bit_identical(self, case, gated=True, x_grad=True):
         # the node runs one cloud at a time, so the reference is the
@@ -576,7 +664,7 @@ class TestGatedEdgeConv:
         out, grads = self.run(inv_edge_conv, case, gated, x_grad)
         clouds = [self.run(composed_gated_edge_conv, case, gated, x_grad,
                            slice(i, i + 1)) for i in range(len(case["x"]))]
-        ref, ref_grads = join_clouds([(r.data, g) for r, g in clouds], 2)
+        ref, ref_grads = join_clouds([(r.data, g) for r, g in clouds], 3)
         assert out._op == "inv_edge_conv"
         assert np.array_equal(out.data, ref)
         assert len(grads) == len(ref_grads)
@@ -585,16 +673,18 @@ class TestGatedEdgeConv:
             assert g is None or np.array_equal(g, r), i
         return out, grads
 
-    @pytest.mark.parametrize("source", sorted(CODE_SHAPES))
+    @pytest.mark.parametrize("source", SOURCES)
     def test_matches_composed_form(self, rng, source):
         case = self.inputs(rng, source)
         out, grads = self.assert_bit_identical(case)
-        # parents: the code (when it carries a gradient), x, the layer's
-        # four parameters and the gate's four
-        with_code = case["code"] is not None and case["code_grad"]
-        assert len(out._parents) == 9 + with_code
-        assert with_code == (grads[1] is not None)
-        assert all(g is not None and g.any() for g in grads[2:])
+        # parents: the frame and a per-point code when the node projects,
+        # x, the layer's four parameters and the gate's four
+        in_frame = source in IN_FRAME
+        with_code = in_frame and case["gated"]
+        assert len(out._parents) == 5 + 4 * case["gated"] + in_frame + with_code
+        assert (grads[1] is not None) == with_code
+        assert (grads[2] is not None) == in_frame
+        assert all(g is not None and g.any() for g in grads[3:])
 
     def test_ungated_index(self, rng):
         # the phi layers of rows without a pose gate
@@ -603,57 +693,64 @@ class TestGatedEdgeConv:
     def test_every_edge_reads_one_point(self, rng):
         # all B*N*K edges gather point 0 of their cloud, so the scatter sums
         # every edge's gradient into one row
-        case = self.inputs(rng, "equivariant")
-        case["knn"][:] = 0
-        self.assert_bit_identical(case)
+        for source in ("equivariant", "projected"):
+            case = self.inputs(rng, source)
+            case["knn"][:] = 0
+            self.assert_bit_identical(case)
 
-    @pytest.mark.parametrize("source", ("coordinate", "invariant"))
+    @pytest.mark.parametrize("source", ("coordinate", "invariant", "projected"))
     def test_single_neighbour(self, rng, source):
         self.assert_bit_identical(self.inputs(rng, source, k=1))
 
     def test_constant_features_reach_parameters_only(self, rng):
-        _, grads = self.assert_bit_identical(self.inputs(rng, "equivariant"),
-                                             x_grad=False)
-        assert grads[0] is None
+        for source in ("equivariant", "projected"):
+            _, grads = self.assert_bit_identical(self.inputs(rng, source),
+                                                 x_grad=False)
+            assert grads[0] is None
 
-    @pytest.mark.parametrize("source", ("equivariant", "invariant", "ungated"))
+    @pytest.mark.parametrize("source", ("equivariant", "invariant", "ungated",
+                                        "projected"))
     def test_no_grad_records_no_parent(self, rng, source):
         # the unrecorded forward gives the recorded bits at every shape
         gated = source != "ungated"
         for b, n, k in BLOCK_SHAPES:
             case = self.inputs(rng, source if gated else "invariant", b=b, n=n, k=k)
-            fc1, fc2, gate = self.layers(case["params"], gated)
-            code = (None if case["code"] is None or not gated
-                    else ad.Tensor(case["code"], True))
-            recorded = inv_edge_conv(ad.Tensor(case["x"], True), case["knn"],
-                                     fc1, fc2, gate, code)
+            fc1, fc2, gate = self.layers(case["params"], gated and case["gated"])
+            x, code, frame = self.leaves(case, gated)
+            recorded = inv_edge_conv(x, case["knn"], fc1, fc2, gate, code, frame)
             with ad.no_grad():
-                plain = inv_edge_conv(ad.Tensor(case["x"], True), case["knn"],
-                                      fc1, fc2, gate, code)
+                plain = inv_edge_conv(x, case["knn"], fc1, fc2, gate, code, frame)
             assert recorded.requires_grad and recorded._parents
             assert not plain.requires_grad and plain._parents == () and plain._grads is None
             assert np.array_equal(plain.data, recorded.data)
 
     @pytest.mark.parametrize("b,n,k", BLOCK_SHAPES)
-    @pytest.mark.parametrize("source", sorted(CODE_SHAPES) + ["ungated"])
+    @pytest.mark.parametrize("source", sorted(CODE_SHAPES) + ["ungated", "projected"])
     def test_one_cloud_per_block_matches_one_block(self, rng, source, b, n, k):
         gated = source != "ungated"
         case = self.inputs(rng, source if gated else "invariant", b=b, n=n, k=k)
-        with_code = gated and case["code"] is not None
+        gated = gated and case["gated"]
+        x, code, frame = self.leaves(case, gated)
+        per_point = [case["x"]] + [t.data for t in (code, frame)
+                                   if isinstance(t, ad.Tensor)]
         params = case["params"] if gated else case["params"][:4]
 
         def node(clouds, x, *leaves):
-            code = leaves[0] if with_code else None
-            w = leaves[with_code:]
+            pose, matrix = None, None
+            if frame is not None:
+                if gated:
+                    pose, *leaves = leaves
+                matrix, *leaves = leaves
+            elif code is not None:
+                pose = code[clouds]               # a per-edge constant
 
             def layer(i):
-                return SimpleNamespace(weight=w[i], bias=w[i + 1])
+                return SimpleNamespace(weight=leaves[i], bias=leaves[i + 1])
 
             gate = SimpleNamespace(fc1=layer(4), fc2=layer(6)) if gated else None
             return inv_edge_conv(x, case["knn"][clouds], layer(0), layer(2),
-                                 gate, code)
+                                 gate, pose, matrix)
 
-        per_point = [case["x"]] + ([case["code"]] if with_code else [])
         assert_batch_is_its_clouds(node, per_point, params)
 
     @pytest.mark.parametrize("bad", (9, -1))
@@ -665,27 +762,33 @@ class TestGatedEdgeConv:
         fc1, fc2, gate = self.layers(case["params"])
         for fn in (inv_edge_conv, composed_gated_edge_conv):
             with pytest.raises(ValueError):
-                fn(ad.Tensor(case["x"]), case["knn"], fc1, fc2, gate,
-                   ad.Tensor(case["code"]))
+                fn(*self.leaves(case)[:1], case["knn"], fc1, fc2, gate,
+                   *self.leaves(case)[1:])
 
-    @pytest.mark.parametrize("source", ("coordinate", "invariant"))
+    @pytest.mark.parametrize("source", ("coordinate", "invariant", "projected"))
     def test_gradient(self, rng, source):
         case = self.inputs(rng, source, b=1, n=5, k=3, c=2, hidden=4, c_out=3,
                            gate_hidden=3)
         weights = ad.Tensor(case["weights"])
-        names = ["x", "code", "w1", "b1", "w2", "b2", "gw1", "gb1", "gw2", "gb2"]
-        values = dict(zip(names, [case["x"], case["code"]] + case["params"]))
+        names = ["x", "code", "frame", "w1", "b1", "w2", "b2", "gw1", "gb1",
+                 "gw2", "gb2"]
+        values = dict(zip(names, [case["x"], case["code"], case["frame"]]
+                          + case["params"]))
+        if not case["gated"]:
+            values = {key: values[key] for key in names[:7]}
 
         def conv(name, t):
             given = {key: (t if key == name else None if v is None
                            else ad.Tensor(v)) for key, v in values.items()}
             fc1 = SimpleNamespace(weight=given["w1"], bias=given["b1"])
             fc2 = SimpleNamespace(weight=given["w2"], bias=given["b2"])
-            gate = SimpleNamespace(
-                fc1=SimpleNamespace(weight=given["gw1"], bias=given["gb1"]),
-                fc2=SimpleNamespace(weight=given["gw2"], bias=given["gb2"]))
+            gate = None
+            if case["gated"]:
+                gate = SimpleNamespace(
+                    fc1=SimpleNamespace(weight=given["gw1"], bias=given["gb1"]),
+                    fc2=SimpleNamespace(weight=given["gw2"], bias=given["gb2"]))
             return inv_edge_conv(given["x"], case["knn"], fc1, fc2, gate,
-                                 given["code"])
+                                 given["code"], given["frame"])
 
         for name, value in values.items():
             if value is None:
@@ -717,8 +820,8 @@ def model_outputs(model, pts, labels):
                                  "baseline", "identity-frames"))
 def test_fused_model_matches_composed_model(rng, monkeypatch, row):
     # The trained checks replay desk training, which splits on rounding-level
-    # changes: the fused edge convolutions and pose code must give the same
-    # bits as the op-by-op graph, at the initial gates (last weight zero,
+    # changes: the fused edge convolutions, with the frame projections they
+    # form inside, must give the same bits as the op-by-op graph, at the initial gates (last weight zero,
     # no code gradient) and at perturbed ones.  One cloud gives the same
     # bits everywhere; over a batch, the per-edge nodes add their weight and
     # bias gradients up cloud by cloud, where the op-by-op graph sums over
@@ -737,7 +840,6 @@ def test_fused_model_matches_composed_model(rng, monkeypatch, row):
             fused, fused_grads = model_outputs(model, pts[:b], labels[:b])
             with monkeypatch.context() as patched:
                 patched.setattr(network, "inv_edge_conv", composed_gated_edge_conv)
-                patched.setattr(network, "rpr_code", composed_rpr_code)
                 ref, ref_grads = model_outputs(model, pts[:b], labels[:b])
             assert len(fused) == len(ref)
             for a, r in zip(fused, ref):
@@ -791,13 +893,12 @@ def tape_nodes(*roots):
 def test_edge_convolutions_build_no_per_edge_copies(rng):
     # Each edge convolution is one tape node over its per-point output: one
     # vn_edge_conv per encoder layer and one inv_edge_conv per invariant
-    # layer, which gathers, gates and drops its per-edge arrays itself, so no
-    # per-edge tensor of any vector-neuron or invariant width is recorded
-    # and no per-edge relu is left.  In the network's own graph the only
-    # per-edge nodes are the two relative-pose codes and psi's
-    # frame-projected neighbours; no tensor with the K neighbour axis goes
-    # through concat, broadcast_to, add or max anywhere on the tape, and the
-    # frame axes' stack is the only concat left.
+    # layer, which gathers, projects, gates and drops its per-edge arrays
+    # itself.  So the network's own graph holds no per-edge node at all;
+    # only the frame consistency loss keeps its per-edge 3-vectors, and no
+    # tensor with the K neighbour axis goes through concat, broadcast_to,
+    # add or max anywhere on the tape.  The frame axes' stack is the only
+    # concat left.
     cfg = named_config("full", **TINY_MODEL)
     model = FusionModel(cfg)
     b, n, k = 2, 20, cfg.k
@@ -809,16 +910,14 @@ def test_edge_convolutions_build_no_per_edge_copies(rng):
     per_edge = [c for c in nodes if c[1][:3] == (b, n, k)]
     for op in ("concat", "broadcast_to", "add", "max", "relu"):
         assert [c for c in per_edge if c[0] == op] == [], op
+    network_edges = [c for c in tape_nodes(out.logits_inv, out.logits_eqv,
+                                           out.logits_fused)
+                     if c[1][:3] == (b, n, k)]
+    assert network_edges == []
     vn_widths, inv_widths = TINY_MODEL["vn_widths"], TINY_MODEL["inv_widths"]
     assert [c for c in per_edge if c[1] in [(b, n, k, 3, w) for w in vn_widths]] == []
     assert [c for c in per_edge if c[0] in ("getitem", "mul", "matmul")
             and c[1][-1] in inv_widths] == []
-    network_edges = [c for c in tape_nodes(out.logits_inv, out.logits_eqv,
-                                           out.logits_fused)
-                     if c[1][:3] == (b, n, k)]
-    assert sorted(network_edges) == sorted(
-        [("rpr_code", (b, n, k, 3, cfg.rpr_channels))] * 2
-        + [("matmul", (b, n, k, 3, 1)), ("reshape", (b, n, k, 3))])
     assert sorted(c[1] for c in nodes if c[0] == "vn_edge_conv") == sorted(
         (b, n, 3, w) for w in vn_widths)
     assert sorted(c[1] for c in nodes if c[0] == "inv_edge_conv") == sorted(
@@ -828,16 +927,13 @@ def test_edge_convolutions_build_no_per_edge_copies(rng):
 
 @pytest.mark.parametrize("graph_metric", GRAPH_METRICS)
 def test_pose_code_built_once(rng, graph_metric):
-    # one projection of the equivariant features per forward; on the
-    # coordinate graph both gated layers read one code, on feature graphs
-    # each layer builds its own
+    # one projection of the equivariant features per forward, which each
+    # gated layer reads in its centres' frames inside its own node
     cfg = named_config("full", graph_metric=graph_metric,
                        **{**TINY_MODEL, "rpr_channels": 3})
     out = FusionModel(cfg).forward(centered_cloud_batch(rng, b=2, n=20))
     nodes = tape_nodes(out.logits_inv)
     assert nodes.count(("matmul", (2, 20, 3, 3))) == 1
-    assert [op for op, _ in nodes].count("rpr_code") == (
-        1 if graph_metric == "coordinate" else 2)
 
 
 def test_max_without_grad_matches_max_with_grad(rng):

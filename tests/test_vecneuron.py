@@ -336,136 +336,145 @@ class TestEdgeFeatures:
 
 
 def composed_inv_edge_conv(x, xj, fc1, fc2):
-    """Reference form of inv_edge_conv: edge linear, relu, fc2 and the max
-    over K as separate ops over full per-edge tensors."""
+    """Reference form of inv_edge_conv on the per-edge neighbours `xj`: edge
+    linear, relu, fc2 and the max over K as separate ops over full per-edge
+    tensors."""
     hidden = ad.relu(edge_linear(x, xj, fc1.weight, fc1.bias))
     return ad.tmax(ad.matmul(hidden, fc2.weight), axis=2) + fc2.bias
 
 
-def inv_edge_conv_run(fn, x, xj, w1, b1, w2, b2, weights, x_grad=True):
-    """Value and (x, xj, W1, b1, W2, b2) gradients of sum(fn(...) * weights)."""
+def composed_index_conv(x, knn, fc1, fc2):
+    """composed_inv_edge_conv on the gathered neighbours."""
+    return composed_inv_edge_conv(x, gather_neighbors(x, knn), fc1, fc2)
+
+
+def inv_edge_conv_run(fn, x, knn, w1, b1, w2, b2, weights, x_grad=True):
+    """Value and (x, W1, b1, W2, b2) gradients of sum(fn(...) * weights)."""
     xt = ad.Tensor(x, requires_grad=x_grad)
-    xjt = ad.Tensor(xj, requires_grad=x_grad)
     fc1 = SimpleNamespace(weight=ad.Tensor(w1, requires_grad=True),
                           bias=ad.Tensor(b1, requires_grad=True))
     fc2 = SimpleNamespace(weight=ad.Tensor(w2, requires_grad=True),
                           bias=ad.Tensor(b2, requires_grad=True))
-    out = fn(xt, xjt, fc1, fc2)
+    out = fn(xt, knn, fc1, fc2)
     ad.backward(ad.tsum(out * ad.Tensor(weights)))
-    return out, [xt.grad, xjt.grad, fc1.weight.grad, fc1.bias.grad,
-                 fc2.weight.grad, fc2.bias.grad]
+    return out, [xt.grad, fc1.weight.grad, fc1.bias.grad, fc2.weight.grad,
+                 fc2.bias.grad]
 
 
 class TestInvEdgeConv:
-    """inv_edge_conv, the one-node edge linear + relu + fc2 + max over K,
-    against the op-by-op form it replaces run on each cloud alone: the same
-    bits in the value and in every gradient, the weights' summed over the
-    clouds in cloud order."""
+    """inv_edge_conv, the one-node gather + edge linear + relu + fc2 + max
+    over K, against the op-by-op form it replaces run on each cloud alone:
+    the same bits in the value and in every gradient, the weights' summed
+    over the clouds in cloud order."""
 
     def inputs(self, rng, b=2, n=9, k=4, c=3, hidden=6, c_out=5):
-        x = rng.standard_normal((b, n, c))
-        knn = rng.integers(0, n, (b, n, k))
-        xj = gather_neighbors(ad.Tensor(x), knn).data
-        return (x, xj, rng.standard_normal((2 * c, hidden)),
-                rng.standard_normal(hidden), rng.standard_normal((hidden, c_out)),
-                rng.standard_normal(c_out), rng.standard_normal((b, n, c_out)))
+        return (rng.standard_normal((b, n, c)), rng.integers(0, n, (b, n, k)),
+                rng.standard_normal((2 * c, hidden)), rng.standard_normal(hidden),
+                rng.standard_normal((hidden, c_out)), rng.standard_normal(c_out),
+                rng.standard_normal((b, n, c_out)))
 
     def assert_bit_identical(self, args, x_grad=True):
         out, grads = inv_edge_conv_run(inv_edge_conv, *args, x_grad=x_grad)
-        x, xj, w1, b1, w2, b2, weights = args
-        clouds = [inv_edge_conv_run(composed_inv_edge_conv, x[i:i + 1],
-                                    xj[i:i + 1], w1, b1, w2, b2,
+        x, knn, w1, b1, w2, b2, weights = args
+        clouds = [inv_edge_conv_run(composed_index_conv, x[i:i + 1],
+                                    knn[i:i + 1], w1, b1, w2, b2,
                                     weights[i:i + 1], x_grad=x_grad)
                   for i in range(len(x))]
-        ref, ref_grads = join_clouds([(r.data, g) for r, g in clouds], 2)
+        ref, ref_grads = join_clouds([(r.data, g) for r, g in clouds], 1)
         assert out._op == "inv_edge_conv"
-        assert len(out._parents) == (6 if x_grad else 4)
+        assert len(out._parents) == (5 if x_grad else 4)
         assert np.array_equal(out.data, ref)
-        for name, g, r in zip(("x", "xj", "w1", "b1", "w2", "b2"), grads, ref_grads):
+        for name, g, r in zip(("x", "w1", "b1", "w2", "b2"), grads, ref_grads):
             assert (g is None) == (r is None), name
             assert g is None or np.array_equal(g, r), name
         return out, grads
 
     def test_matches_composed_form(self, rng):
-        # psi's input: three coordinate channels per point
+        # three channels per point, and wider layers
         self.assert_bit_identical(self.inputs(rng, c=3))
         self.assert_bit_identical(self.inputs(rng, c=7, hidden=16, c_out=8))
 
     def test_ties_in_max_go_to_first_neighbour(self, rng):
-        x, xj, w1, b1, w2, b2, weights = self.inputs(rng)
-        xj[:, :, 3] = xj[:, :, 1]                 # every edge 3 repeats edge 1
-        xj[0, 2] = xj[0, 2, :1]                   # and one point sees one edge K times
-        _, grads = self.assert_bit_identical((x, xj, w1, b1, w2, b2, weights))
+        x, knn, w1, b1, w2, b2, weights = self.inputs(rng)
+        # every point's last neighbour, point 8, repeats its second, point
+        # 1, and no other edge reads point 8, whose own output carries no
+        # gradient; one point sees one neighbour K times
+        knn[:] = rng.integers(0, 8, knn.shape)
+        knn[:, :, 1] = 1
+        knn[:, :, 3] = 8
+        knn[0, 2] = 5
+        x[:, 8] = x[:, 1]
+        weights[:, 8] = 0.0
+        _, grads = self.assert_bit_identical((x, knn, w1, b1, w2, b2, weights))
         # a tied edge after the first never receives a gradient
-        assert not grads[1][:, :, 3].any() and not grads[1][0, 2, 1:].any()
-        assert grads[1][:, :, 1].any()
+        assert not grads[0][:, 8].any() and grads[0][:, 1].any()
 
     def test_single_neighbour(self, rng):
         args = self.inputs(rng, k=1)
         out, _ = self.assert_bit_identical(args)
-        x, xj, w1, b1, w2, b2, _ = args
+        x, knn, w1, b1, w2, b2, _ = args
         c = x.shape[-1]
-        edge = np.maximum(x @ (w1[:c] - w1[c:]) + xj[:, :, 0] @ w1[c:] + b1, 0.0)
+        xj = np.take_along_axis(x, knn, axis=1)
+        edge = np.maximum(x @ (w1[:c] - w1[c:]) + xj @ w1[c:] + b1, 0.0)
         np.testing.assert_allclose(out.data, edge @ w2 + b2, rtol=1e-13, atol=1e-13)
 
     def test_dead_hidden_rows(self, rng):
-        # a point whose edges all have x_i = x_j = 0 sees only b1 <= 0: its
-        # hidden units are all zero, every neighbour ties, and its output is b2
-        x, xj, w1, b1, w2, b2, weights = self.inputs(rng)
+        # a point at x = 0 that is its only neighbour, and no other point's,
+        # sees only b1 <= 0: its hidden units are all zero, every neighbour
+        # ties, and its output is b2
+        x, knn, w1, b1, w2, b2, weights = self.inputs(rng)
+        knn[1][knn[1] == 4] = 0
+        knn[1, 4] = 4
         x[1, 4] = 0.0
-        xj[1, 4] = 0.0
         b1 = -np.abs(b1)
-        out, grads = self.assert_bit_identical((x, xj, w1, b1, w2, b2, weights))
+        out, grads = self.assert_bit_identical((x, knn, w1, b1, w2, b2, weights))
         np.testing.assert_array_equal(out.data[1, 4], b2)
-        assert not grads[0][1, 4].any() and not grads[1][1, 4].any()
+        assert not grads[0][1, 4].any()
 
     def test_constant_inputs_reach_parameters_only(self, rng):
-        # psi under identity frames sees constant geometry
+        # a constant x: only the four parameters take a gradient
         self.assert_bit_identical(self.inputs(rng), x_grad=False)
 
     def test_no_grad_records_no_parent(self, rng):
-        # psi's per-edge input; the unrecorded forward gives the recorded
-        # bits at every shape
+        # the unrecorded forward gives the recorded bits at every shape
         for b, n, k in BLOCK_SHAPES:
-            x, xj, w1, b1, w2, b2, _ = self.inputs(rng, b=b, n=n, k=k)
+            x, knn, w1, b1, w2, b2, _ = self.inputs(rng, b=b, n=n, k=k)
             x[0, :, :] = 0.0                      # ties, as above
-            xj[0, :, :] = 0.0
             fc1 = SimpleNamespace(weight=ad.Parameter("w1", w1),
                                   bias=ad.Parameter("b1", b1))
             fc2 = SimpleNamespace(weight=ad.Parameter("w2", w2),
                                   bias=ad.Parameter("b2", b2))
-            recorded = inv_edge_conv(ad.Tensor(x), ad.Tensor(xj), fc1, fc2)
+            recorded = inv_edge_conv(ad.Tensor(x), knn, fc1, fc2)
             with ad.no_grad():
-                plain = inv_edge_conv(ad.Tensor(x), ad.Tensor(xj), fc1, fc2)
+                plain = inv_edge_conv(ad.Tensor(x), knn, fc1, fc2)
             assert recorded.requires_grad and len(recorded._parents) == 4
             assert not plain.requires_grad and plain._parents == () and plain._grads is None
             assert np.array_equal(plain.data, recorded.data)
 
     @pytest.mark.parametrize("b,n,k", BLOCK_SHAPES)
     def test_one_cloud_per_block_matches_one_block(self, rng, b, n, k):
-        x, xj, w1, b1, w2, b2, _ = self.inputs(rng, b=b, n=n, k=k)
+        x, knn, w1, b1, w2, b2, _ = self.inputs(rng, b=b, n=n, k=k)
         x[0, :, :] = 0.0                          # ties in the max
-        xj[0, :, :] = 0.0
 
-        def node(clouds, x, xj, w1, b1, w2, b2):
-            return inv_edge_conv(x, xj, SimpleNamespace(weight=w1, bias=b1),
+        def node(clouds, x, w1, b1, w2, b2):
+            return inv_edge_conv(x, knn[clouds], SimpleNamespace(weight=w1, bias=b1),
                                  SimpleNamespace(weight=w2, bias=b2))
 
-        assert_batch_is_its_clouds(node, [x, xj], [w1, b1, w2, b2])
+        assert_batch_is_its_clouds(node, [x], [w1, b1, w2, b2])
 
     def test_gradient(self, rng):
-        x, xj, w1, b1, w2, b2, weights = self.inputs(rng, b=1, n=5, k=3, c=2,
-                                                     hidden=4, c_out=3)
+        x, knn, w1, b1, w2, b2, weights = self.inputs(rng, b=1, n=5, k=3, c=2,
+                                                      hidden=4, c_out=3)
         weights = ad.Tensor(weights)
 
         def conv(**given):
-            t = dict(x=x, xj=xj, w1=w1, b1=b1, w2=w2, b2=b2)
+            t = dict(x=x, w1=w1, b1=b1, w2=w2, b2=b2)
             t = {k: given.get(k, ad.Tensor(v)) for k, v in t.items()}
-            return inv_edge_conv(t["x"], t["xj"],
+            return inv_edge_conv(t["x"], knn,
                                  SimpleNamespace(weight=t["w1"], bias=t["b1"]),
                                  SimpleNamespace(weight=t["w2"], bias=t["b2"]))
 
-        for name, value in dict(x=x, xj=xj, w1=w1, b1=b1, w2=w2, b2=b2).items():
+        for name, value in dict(x=x, w1=w1, b1=b1, w2=w2, b2=b2).items():
             err = check_tensor_gradient(
                 lambda t: ad.tsum(conv(**{name: t}) * weights), value)
             assert err <= 1e-4, name
