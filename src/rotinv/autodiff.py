@@ -479,19 +479,27 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 NORM_EPS = 1e-12
 
 
-def normalize(a: Tensor, axis: int = -1, eps: float = NORM_EPS) -> Tensor:
-    """x / max(||x||, eps) along one axis; the guard keeps zero inputs finite."""
-    n = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True))
+def normalize_forward(x: np.ndarray, axis: int = -1, eps: float = NORM_EPS):
+    """x / max(||x||, eps) along one axis, with ||x|| and max(||x||, eps),
+    which `normalize_vjp` takes; the guard keeps zero inputs finite."""
+    n = np.sqrt((x * x).sum(axis=axis, keepdims=True))
     guarded = np.maximum(n, eps)
-    out = a.data / guarded
+    return x / guarded, n, guarded
 
-    def vjp(g):
-        live = n > eps  # below the guard the norm is a constant
-        dot = (g * a.data).sum(axis=axis, keepdims=True)
-        grad = g / guarded - np.where(live, a.data * dot / guarded**3, 0.0)
-        return grad
 
-    return _from_op(out, "normalize", (a,), (vjp,), check=True)
+def normalize_vjp(g, x, n, guarded, axis: int = -1, eps: float = NORM_EPS):
+    """The gradient of x from the gradient g of its `normalize_forward`;
+    below the guard the norm is a constant."""
+    dot = (g * x).sum(axis=axis, keepdims=True)
+    return g / guarded - np.where(n > eps, x * dot / guarded**3, 0.0)
+
+
+def normalize(a: Tensor, axis: int = -1, eps: float = NORM_EPS) -> Tensor:
+    """`normalize_forward` as a tape node."""
+    out, n, guarded = normalize_forward(a.data, axis, eps)
+    return _from_op(out, "normalize", (a,),
+                    (lambda g: normalize_vjp(g, a.data, n, guarded, axis, eps),),
+                    check=True)
 
 
 def cross(a: Tensor, b: Tensor) -> Tensor:

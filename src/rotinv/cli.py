@@ -25,7 +25,7 @@ from .harness import (DivergenceError, Protocol, TrainConfig,
 from .network import (COMPONENT_ABLATION_ROWS, FRAME_ABLATION_ROWS,
                       POSE_ABLATION_ROWS, PROTOCOL_ROWS, FusionModel,
                       ModelConfig, named_config)
-from .pointio import read_cloud, write_cloud_binary, write_cloud_text
+from .pointio import read_cloud, write_cloud
 
 # Base layers under the config file: model overrides applied to the row,
 # dataset, training settings and evaluation repeats.  `desk` is the reduced
@@ -126,16 +126,14 @@ def cmd_gen_data(args) -> int:
     _, data_spec, _, _ = load_configs(args)
     out = _out_dir(args)
     dataset = generate_dataset(data_spec)
+    suffix = ".lcpc" if args.format == "binary" else ".xyz"
     for split, clouds in (("train", dataset.train), ("test", dataset.test)):
         split_dir = out / split
         split_dir.mkdir(exist_ok=True)
         rows = []
         for i, cloud in enumerate(clouds):
-            name = f"cloud_{i:05d}.lcpc" if args.format == "binary" else f"cloud_{i:05d}.xyz"
-            if args.format == "binary":
-                write_cloud_binary(split_dir / name, cloud)
-            else:
-                write_cloud_text(split_dir / name, cloud)
+            name = f"cloud_{i:05d}{suffix}"
+            write_cloud(split_dir / name, cloud)
             rows.append({"file": name, "label": cloud.label})
         _write_csv(split_dir / "labels.csv", rows)
     meta = dataclasses.asdict(data_spec)

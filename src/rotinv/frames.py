@@ -1,10 +1,14 @@
 """Per-point reference frames and the losses that shape them.
 
 Three constructions are provided: the asymmetric Gram-Schmidt frame, the
-bisector-symmetric frame (``lcrf``) whose first two axes are orthogonal by
-construction for any valid input pair, and a handcrafted frame from the
-global center and local barycenter.  Vector arguments are Tensors shaped
-(..., 3); all constructions are differentiable within the guard band.
+bisector-symmetric frame (``lcrf``) and a handcrafted frame from the global
+center and local barycenter.  The paper builds ``lcrf`` from the bisector
+vbar of the pair (v1, v2); it is built here in the identical closed form
+u1 = normalize(s - w), u2 = normalize(s + w) with s = normalize(v1 + v2)
+and w = normalize(v1 - v2), whose first two axes are orthogonal for any
+valid input pair.  Vector arguments are Tensors shaped (..., 3).  Rows in
+the guard band (|v1.v2| >= 1 - EPS_PARALLEL) are computed unpatched, stay
+finite through normalize's eps and are replaced by the fallback frame.
 """
 from __future__ import annotations
 
@@ -113,21 +117,6 @@ def _check_guard_band(pair: ProjectedPair, fallback: Frame | None, context: str)
     return bad
 
 
-def _patch_pair(pair: ProjectedPair, bad: np.ndarray) -> ProjectedPair:
-    """Swap in a safe second vector on degenerate rows so the construction
-    stays finite; those rows are overwritten with the fallback afterwards."""
-    if not bad.any():
-        return pair
-    v1 = pair.v1.data
-    # least-aligned basis vector per row, guaranteed non-parallel to v1
-    pick = np.argmin(np.abs(v1), axis=-1)
-    axis = np.eye(3)[pick]
-    safe = np.cross(v1, axis)
-    safe /= np.linalg.norm(safe, axis=-1, keepdims=True)
-    mask = bad[..., None]
-    return ProjectedPair(pair.v1, ad.where(mask, Tensor(safe), pair.v2))
-
-
 def _splice_fallback(computed: Tensor, bad: np.ndarray, fallback: Frame) -> Tensor:
     if not bad.any():
         return computed
@@ -140,10 +129,9 @@ def gram_schmidt_frame(pair: ProjectedPair, fallback: Frame | None = None) -> Fr
     Asymmetric in its inputs: swapping v1 and v2 changes the frame.
     """
     bad = _check_guard_band(pair, fallback, "gram-schmidt")
-    safe = _patch_pair(pair, bad)
-    u1 = safe.v1
-    proj = ad.tsum(safe.v2 * u1, axis=-1, keepdims=True)
-    u2 = ad.normalize(safe.v2 - proj * u1, axis=-1)
+    u1 = pair.v1
+    proj = ad.tsum(pair.v2 * u1, axis=-1, keepdims=True)
+    u2 = ad.normalize(pair.v2 - proj * u1, axis=-1)
     u3 = ad.cross(u1, u2)
     matrix = ad.stack([u1, u2, u3], axis=-1)
     if fallback is not None:
@@ -154,22 +142,26 @@ def gram_schmidt_frame(pair: ProjectedPair, fallback: Frame | None = None) -> Fr
 def lcrf_frame(pair: ProjectedPair, fallback: Frame | None = None) -> Frame:
     """Symmetric frame from the angular bisector of the pair.
 
-    With d = v1.v2 and theta half the angle between them:
+    The paper's construction, with d = v1.v2 and theta half the angle
+    between them:
         sin t = sqrt((1-d)/2),  cos t = sqrt((1+d)/2)
         vbar  = normalize(v1 + v2) * (sin t + cos t)
         u1    = normalize(vbar - v1),  u2 = normalize(vbar - v2)
-    u1 and u2 come out exactly orthogonal in exact arithmetic, and swapping
-    v1 and v2 swaps u1 and u2.
+    With s = normalize(v1 + v2) and w = normalize(v1 - v2), v1 = cos t s +
+    sin t w and v2 = cos t s - sin t w, so vbar - v1 = sin t (s - w) and
+    vbar - v2 = sin t (s + w).  The frame is built in that closed form,
+    u1 = normalize(s - w), u2 = normalize(s + w), u3 = u1 x u2, with no
+    cancellation in 1 -+ d.  u1.u2 = (|s|^2 - |w|^2) / |s - w||s + w| = 0,
+    and swapping v1 and v2 negates w, which swaps u1 and u2 exactly.
+    Guard-band rows are computed as they are and replaced by the fallback.
     """
     bad = _check_guard_band(pair, fallback, "lcrf")
-    safe = _patch_pair(pair, bad)
-    d = ad.tsum(safe.v1 * safe.v2, axis=-1, keepdims=True)
-    sin_t = ad.sqrt((1.0 - d) * 0.5)
-    cos_t = ad.sqrt((1.0 + d) * 0.5)
-    vbar = ad.normalize(safe.v1 + safe.v2, axis=-1) * (sin_t + cos_t)
-    u1 = ad.normalize(vbar - safe.v1, axis=-1)
-    u2 = ad.normalize(vbar - safe.v2, axis=-1)
-    worst = np.abs((u1.data * u2.data).sum(axis=-1)).max()
+    s = ad.normalize(pair.v1 + pair.v2, axis=-1)
+    w = ad.normalize(pair.v1 - pair.v2, axis=-1)
+    u1 = ad.normalize(s - w, axis=-1)
+    u2 = ad.normalize(s + w, axis=-1)
+    dots = np.where(bad, 0.0, (u1.data * u2.data).sum(axis=-1))
+    worst = np.abs(dots).max(initial=0.0)
     if worst > 1e-9:
         raise DegenerateFrameError(float(worst),
                                    "bisector axes failed orthogonality")

@@ -161,9 +161,7 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
         m = np.take(neighbor[blk.start], rows[blk], axis=0, out=out, mode="clip")
         m += center[blk]
         k = (m.reshape(-1, cout) @ w_dir).reshape(m.shape[:-1] + (1,))
-        norm = np.sqrt((k * k).sum(axis=-2, keepdims=True))
-        guarded = np.maximum(norm, ad.NORM_EPS)
-        khat = k / guarded
+        khat, norm, guarded = ad.normalize_forward(k, axis=-2)
         # the einsums contract without building a full-size product first
         trunc = np.minimum(np.einsum("...dc,...dx->...xc", m, khat), 0.0)
         return m, k, norm, guarded, khat, trunc
@@ -194,10 +192,7 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
         gdot *= -1.0
         gkhat = (np.einsum("...dc,...xc->...d", m, gdot)
                  - per_point(trunc) @ np.swapaxes(g_point, -1, -2))[..., None]
-        # normalize's backward; below the guard the norm is a constant
-        radial = (gkhat * k).sum(axis=-2, keepdims=True)
-        gk = gkhat / guarded - np.where(norm > ad.NORM_EPS,
-                                        k * radial / guarded**3, 0.0)
+        gk = ad.normalize_vjp(gkhat, k, norm, guarded, axis=-2)
         g_dir = m.reshape(-1, cout).T @ gk.reshape(-1, 1)
         # each per-edge array is dropped as soon as it is dead, which keeps
         # the scatter below from holding m beside the gradient

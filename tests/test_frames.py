@@ -18,6 +18,41 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def unit_rows(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+EXTENDED = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+
+
+def paper_lcrf(pair):
+    """The paper's literal bisector frame, through sin t, cos t and vbar as
+    `bisector_identity_residuals` computes them, in long double.  The
+    construction presumes unit vectors, so the pair is first made unit in
+    long double: near |d| = 1 the cancellation in 1 -+ d would otherwise turn
+    float64's ULP-level norm errors into 1e-11 errors in the frame."""
+    v1 = unit_rows(pair.v1.data.astype(np.longdouble))
+    v2 = unit_rows(pair.v2.data.astype(np.longdouble))
+    d = (v1 * v2).sum(axis=-1, keepdims=True)
+    sin_t = np.sqrt((1 - d) / 2)
+    cos_t = np.sqrt((1 + d) / 2)
+    vbar = unit_rows(v1 + v2) * (sin_t + cos_t)
+    u1 = unit_rows(vbar - v1)
+    u2 = unit_rows(vbar - v2)
+    return np.stack([u1, u2, np.cross(u1, u2)], axis=-1)
+
+
+def near_band_pair(sign, seed=0, n=20, gap=2e-6):
+    """Unit pairs with v1.v2 = sign (1 - gap), just outside the guard band."""
+    rng = np.random.default_rng(seed)
+    v1 = unit_rows(rng.standard_normal((n, 3)))
+    p = rng.standard_normal((n, 3))
+    p = unit_rows(p - (p * v1).sum(axis=-1, keepdims=True) * v1)
+    c = 1.0 - gap
+    v2 = unit_rows(c * v1 + np.sqrt(1.0 - c * c) * p)
+    return fr.ProjectedPair.from_arrays(v1, sign * v2)
+
+
 def random_valid_pair(seed, n=50):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((2, n, 3))
@@ -123,14 +158,39 @@ class TestBisectorFrame:
         gs = fr.gram_schmidt_frame(pair, fallback=fallback)
         assert frame.degenerate.tolist() == gs.degenerate.tolist() == [True, False]
 
-    def test_fallback_blocks_gradient_to_bad_rows(self):
+    @pytest.mark.parametrize("bad_v2", [[1.0, 0, 0], [-1.0, 0, 0]],
+                             ids=["parallel", "antiparallel"])
+    @pytest.mark.parametrize("build", [fr.gram_schmidt_frame, fr.lcrf_frame],
+                             ids=["gram-schmidt", "lcrf"])
+    def test_fallback_blocks_gradient_to_bad_rows(self, build, bad_v2):
         v1 = ad.Tensor(np.array([[1.0, 0, 0], [0, 1.0, 0]]), requires_grad=True)
-        v2 = ad.Tensor(np.array([[1.0, 0, 0], [1.0, 0, 0]]), requires_grad=True)
-        pair = fr.ProjectedPair(v1, v2)
-        frame = fr.lcrf_frame(pair, fallback=fr.identity_frames((2,)))
-        ad.backward(ad.tsum(frame.matrix))
-        np.testing.assert_array_equal(v1.grad[0], np.zeros(3))
+        v2 = ad.Tensor(np.array([bad_v2, [1.0, 0, 0]]), requires_grad=True)
+        prev = ad.set_strict_finite_checks(True)
+        try:
+            frame = build(fr.ProjectedPair(v1, v2),
+                          fallback=fr.identity_frames((2,)))
+            ad.backward(ad.tsum(frame.matrix))
+        finally:
+            ad.set_strict_finite_checks(prev)
+        assert frame.degenerate.tolist() == [True, False]
+        assert np.isfinite(frame.data).all()
+        np.testing.assert_array_equal(frame.data[0], np.eye(3))
+        for v in (v1, v2):
+            assert np.isfinite(v.grad).all()
+            np.testing.assert_array_equal(v.grad[0], np.zeros(3))
         assert np.abs(v1.grad[1]).max() > 0
+
+    @pytest.mark.skipif(not EXTENDED, reason="long double is no wider than float64")
+    @pytest.mark.parametrize("pair", [random_valid_pair(0), random_valid_pair(1),
+                                      random_valid_pair(2), near_band_pair(1.0),
+                                      near_band_pair(-1.0)],
+                             ids=["random-0", "random-1", "random-2",
+                                  "near-parallel", "near-antiparallel"])
+    def test_matches_paper_construction(self, pair):
+        frame = fr.lcrf_frame(pair)
+        assert np.abs(frame.data - paper_lcrf(pair)).max() <= 1e-12
+        dots = (frame.column(1) * frame.column(2)).sum(axis=-1)
+        assert np.abs(dots).max() <= 1e-14
 
 
 class TestHandcraftedFrame:
