@@ -48,8 +48,8 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 # When False, only ops that can create non-finite values from finite inputs
-# (div, log, sqrt, exp, normalize) are checked; training loops additionally
-# watch the loss.  Flip on for exhaustive per-op checking in tests.
+# (log, exp, normalize) are checked; training loops additionally watch the
+# loss.  Flip on for exhaustive per-op checking in tests.
 _strict_finite_checks = False
 
 
@@ -114,12 +114,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_wrap(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
     def __neg__(self):
         return mul(self, _wrap(-1.0))
 
@@ -157,7 +151,9 @@ def _from_grads(data: np.ndarray, op: str, parents: Sequence[Tensor],
                 check: bool = False) -> Tensor:
     """The node of an op on `parents`.  When it is recorded, backward calls
     `grads(g)` once with the node's gradient, and it yields the gradient of
-    each parent that requires one, in parent order."""
+    each parent that requires one, in parent order.  A parent listed twice
+    gets both contributions, added in parent order: so a node can add the
+    terms of a parent's gradient in the order a graph of smaller ops did."""
     if (check or _strict_finite_checks) and not _all_finite(data):
         raise NumericError(op)
     out = Tensor.__new__(Tensor)
@@ -214,21 +210,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                      lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = a.data / b.data
-    return _from_op(out, "div", (a, b),
-                    (lambda g: _unbroadcast(g / b.data, a.shape),
-                     lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
-                    check=True)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    with np.errstate(invalid="ignore"):
-        out = np.sqrt(a.data)
-    return _from_op(out, "sqrt", (a,), (lambda g: g * (0.5 / out),), check=True)
-
-
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
     return _from_op(out, "exp", (a,), (lambda g: g * out,), check=True)
@@ -262,11 +243,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
                     (lambda g: g.transpose(inv),))
 
 
-def swap_last_axes(a: Tensor) -> Tensor:
-    order = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    return transpose(a, order)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -293,16 +269,11 @@ def stack(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 
 def getitem(a: Tensor, key) -> Tensor:
-    """Basic indexing (ints, slices, None, ...), or rows along axis 0 when
-    `key` is an integer array, list or Tensor (see `gather`)."""
-    if isinstance(key, Tensor):
-        key = key.data.astype(np.int64)
-    if isinstance(key, (np.ndarray, list)):
-        return gather(a, key)
+    """Basic indexing (ints, slices, None, ...); `gather` takes rows."""
     parts = key if isinstance(key, tuple) else (key,)
     if not all(isinstance(k, (int, np.integer, slice)) or k is None or k is Ellipsis
                for k in parts):
-        raise TypeError(f"getitem takes basic keys or one integer row array, "
+        raise TypeError(f"getitem takes basic keys only (gather takes rows), "
                         f"got {key!r}")
     data = np.asarray(a.data[key], dtype=np.float64)
 
@@ -393,10 +364,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.size
-    else:
-        n = a.shape[axis] if isinstance(axis, int) else int(np.prod([a.shape[i] for i in axis]))
+    n = a.size if axis is None else a.shape[axis]
     return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
@@ -423,10 +391,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def vjp_a(g):
-        if a.ndim == 2 and b.ndim > 2:
-            # shared left operand: flatten the batch into one GEMM instead of
-            # materializing per-batch outer products
-            return np.einsum("...mn,...kn->mk", g, b.data)
         return _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
 
     def vjp_b(g):

@@ -7,8 +7,9 @@ vbar of the pair (v1, v2); it is built here in the identical closed form
 u1 = normalize(s - w), u2 = normalize(s + w) with s = normalize(v1 + v2)
 and w = normalize(v1 - v2), whose first two axes are orthogonal for any
 valid input pair.  Vector arguments are Tensors shaped (..., 3).  Rows in
-the guard band (|v1.v2| >= 1 - EPS_PARALLEL) are computed unpatched, stay
-finite through normalize's eps and are replaced by the fallback frame.
+the guard band (|v1.v2| >= 1 - EPS_PARALLEL, or a zero v1 or v2) are
+computed unpatched, stay finite through normalize's eps and are replaced
+by the fallback frame.
 """
 from __future__ import annotations
 
@@ -19,17 +20,18 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .vecneuron import gather_neighbors, vn_linear
+from .vecneuron import cloud_rows, gather_neighbors, vn_linear
 
 EPS_PARALLEL = 1e-6
 
 
 class DegenerateFrameError(ValueError):
-    """The input pair is too close to parallel for a stable frame."""
+    """The input pair is too close to parallel, or zero, for a stable frame."""
 
-    def __init__(self, dot: float, context: str = ""):
+    def __init__(self, dot: float, context: str = "", zero_length: bool = False):
         self.dot = float(dot)
-        msg = f"degenerate frame input: |v1.v2| = {abs(self.dot):.9f}"
+        msg = "degenerate frame input: " + ("zero-length pair vector" if zero_length
+                                            else f"|v1.v2| = {abs(self.dot):.9f}")
         super().__init__(f"{msg} ({context})" if context else msg)
 
 
@@ -101,10 +103,11 @@ def identity_frames(shape_prefix: tuple[int, ...] = ()) -> Frame:
 
 
 def parallel_pairs(pair: ProjectedPair) -> np.ndarray:
-    """The (...) mask of points whose pair lies in the guard band,
-    |v1.v2| >= 1 - EPS_PARALLEL, where the learned frames take their
-    fallback."""
-    return np.abs(pair.dot()) >= 1.0 - EPS_PARALLEL
+    """The (...) mask where the learned frames take their fallback: the guard
+    band |v1.v2| >= 1 - EPS_PARALLEL, and a v1 or v2 of squared norm below
+    1 - EPS_PARALLEL (normalize makes a zero projection a zero vector)."""
+    short = np.minimum((pair.v1.data ** 2).sum(axis=-1), (pair.v2.data ** 2).sum(axis=-1))
+    return (np.abs(pair.dot()) >= 1.0 - EPS_PARALLEL) | (short < 1.0 - EPS_PARALLEL)
 
 
 def _check_guard_band(pair: ProjectedPair, fallback: Frame | None, context: str):
@@ -112,15 +115,20 @@ def _check_guard_band(pair: ProjectedPair, fallback: Frame | None, context: str)
     bad = parallel_pairs(pair)
     if bad.any() and fallback is None:
         dot = pair.dot()
+        if (np.abs(dot[bad]) < 1.0 - EPS_PARALLEL).any():
+            raise DegenerateFrameError(0.0, context, zero_length=True)
         worst = dot[bad].ravel()[np.argmax(np.abs(dot[bad]).ravel())]
         raise DegenerateFrameError(worst, context)
     return bad
 
 
-def _splice_fallback(computed: Tensor, bad: np.ndarray, fallback: Frame) -> Tensor:
-    if not bad.any():
-        return computed
-    return ad.where(bad[..., None, None], fallback.matrix, computed)
+def _right_handed(u1: Tensor, u2: Tensor, bad: np.ndarray,
+                  fallback: Frame | None, kind: str) -> Frame:
+    """The frame [u1, u2, u1 x u2], with the fallback's in the `bad` rows."""
+    matrix = ad.stack([u1, u2, ad.cross(u1, u2)], axis=-1)
+    if fallback is not None and bad.any():
+        matrix = ad.where(bad[..., None, None], fallback.matrix, matrix)
+    return Frame(matrix, kind=kind, degenerate=bad)
 
 
 def gram_schmidt_frame(pair: ProjectedPair, fallback: Frame | None = None) -> Frame:
@@ -132,11 +140,7 @@ def gram_schmidt_frame(pair: ProjectedPair, fallback: Frame | None = None) -> Fr
     u1 = pair.v1
     proj = ad.tsum(pair.v2 * u1, axis=-1, keepdims=True)
     u2 = ad.normalize(pair.v2 - proj * u1, axis=-1)
-    u3 = ad.cross(u1, u2)
-    matrix = ad.stack([u1, u2, u3], axis=-1)
-    if fallback is not None:
-        matrix = _splice_fallback(matrix, bad, fallback)
-    return Frame(matrix, kind="gram-schmidt", degenerate=bad)
+    return _right_handed(u1, u2, bad, fallback, "gram-schmidt")
 
 
 def lcrf_frame(pair: ProjectedPair, fallback: Frame | None = None) -> Frame:
@@ -165,11 +169,7 @@ def lcrf_frame(pair: ProjectedPair, fallback: Frame | None = None) -> Frame:
     if worst > 1e-9:
         raise DegenerateFrameError(float(worst),
                                    "bisector axes failed orthogonality")
-    u3 = ad.cross(u1, u2)
-    matrix = ad.stack([u1, u2, u3], axis=-1)
-    if fallback is not None:
-        matrix = _splice_fallback(matrix, bad, fallback)
-    return Frame(matrix, kind="lcrf", degenerate=bad)
+    return _right_handed(u1, u2, bad, fallback, "lcrf")
 
 
 def handcrafted_frame(points: np.ndarray, knn: np.ndarray,
@@ -220,14 +220,29 @@ def consistency_loss(pair: ProjectedPair, knn: np.ndarray) -> Tensor:
     (B, N, 3) pair over its (B, N, K) graph.
 
     Driving this to zero lets the two projected directions learn from each
-    other across each local neighborhood.
-    """
-    n1 = gather_neighbors(pair.v1, knn)  # (B, N, K, 3)
-    n2 = gather_neighbors(pair.v2, knn)
-    d1 = ad.tsum(ad.reshape(pair.v1, pair.v1.shape[:2] + (1, 3)) * n1, axis=-1)
-    d2 = ad.tsum(ad.reshape(pair.v2, pair.v2.shape[:2] + (1, 3)) * n2, axis=-1)
-    gap = d1 - d2
-    return ad.mean(gap * gap)
+    other across each local neighborhood.  One tape node that gathers the
+    neighbours inside; v1 and v2 are listed for their centre term and again
+    for their neighbour term, to get the op-by-op graph's bits."""
+    v1, v2 = pair.v1.data, pair.v2.data
+    b, n = v1.shape[:2]
+    rows = cloud_rows(knn, n) + (np.arange(b) * n)[:, None, None]
+    nbrs = [v.reshape(b * n, 3)[rows] for v in (v1, v2)]     # (B, N, K, 3)
+    gap = ((v1[:, :, None] * nbrs[0]).sum(axis=-1)
+           - (v2[:, :, None] * nbrs[1]).sum(axis=-1))
+    scale = 1.0 / gap.size
+
+    def grads(g):
+        g_gap = (g * scale) * gap
+        g_gap += g_gap                                       # d gap^2 = gap + gap
+        for t, nbr, g_dot in zip((pair.v1, pair.v2), nbrs, (g_gap, -g_gap)):
+            if t.requires_grad:
+                g_edge = np.broadcast_to(g_dot[..., None], nbr.shape)
+                yield (g_edge * nbr).sum(axis=2)
+                yield ad.scatter_rows(g_edge * t.data[:, :, None], rows,
+                                      b * n).reshape(t.shape)
+
+    return ad._from_grads(np.asarray((gap * gap).sum() * scale), "consistency_loss",
+                          (pair.v1, pair.v1, pair.v2, pair.v2), grads)
 
 
 def bisector_identity_residuals(pair: ProjectedPair) -> dict[str, np.ndarray]:
@@ -239,11 +254,10 @@ def bisector_identity_residuals(pair: ProjectedPair) -> dict[str, np.ndarray]:
         v1.vbar   = cos t (sin t + cos t)
         (vbar - v1).(vbar - v2) = 0
     """
+    _check_guard_band(pair, None, "identity check")
     v1 = pair.v1.data
     v2 = pair.v2.data
     d = (v1 * v2).sum(axis=-1)
-    if (np.abs(d) >= 1.0 - EPS_PARALLEL).any():
-        raise DegenerateFrameError(d.ravel()[np.argmax(np.abs(d))], "identity check")
     sin_t = np.sqrt((1.0 - d) / 2.0)
     cos_t = np.sqrt((1.0 + d) / 2.0)
     s = v1 + v2

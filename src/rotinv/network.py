@@ -13,7 +13,7 @@ from . import frames as fr
 from .autodiff import Parameter, Tensor
 from .geometry import knn_graph, nearest_k, sample_rotation_so3
 from .vecneuron import (EquivariantEncoder, cloud_rows, gather_neighbors,
-                        over_clouds, seeded_normal, vn_invariant_head)
+                        over_clouds, seeded_normal, vn_invariant_pool)
 
 FRAME_KINDS = ("identity", "handcrafted", "gram-schmidt", "lcrf")
 RPR_SOURCES = ("off", "coordinate", "handcrafted-ppf", "equivariant", "invariant")
@@ -444,7 +444,7 @@ def handcrafted_ppf_code(points: np.ndarray, knn: np.ndarray) -> np.ndarray:
     rel = pts - centroid                                   # (B,N,3)
     pj = gather_neighbors(Tensor(pts), knn).data           # (B,N,K,3)
     d = pj - pts[:, :, None, :]
-    rel_j = gather_neighbors(Tensor(rel), knn).data
+    rel_j = pj - centroid[:, :, None, :]
 
     def angle(u, v):
         nu = np.linalg.norm(u, axis=-1)
@@ -737,9 +737,7 @@ class FusionModel:
 
         pooled_eqv = None
         if cfg.uses_equivariant_branch:
-            gram = vn_invariant_head(veq, self.head)        # (B,N,C,C')
-            flat = ad.reshape(gram, (b, n, -1))
-            pooled_eqv = ad.tmax(flat, axis=1)
+            pooled_eqv = vn_invariant_pool(veq, self.head)  # (B, C C')
             logits_eqv = self.cls_eqv(pooled_eqv)
 
         logits_fused = None

@@ -283,10 +283,34 @@ class EquivariantEncoder:
         return v
 
 
-def vn_invariant_head(v: Tensor, weight: Tensor) -> Tensor:
-    """Gram read-out V^T (V W): channel inner products, (..., C, C').
+def vn_invariant_pool(v: Tensor, weight: Tensor) -> Tensor:
+    """The Gram read-out V^T (V W), invariant as (RV)^T (RV W) = V^T (V W),
+    max-pooled over the points as one tape node: (B, N, 3, C), (C, C') to
+    (B, C C').  It keeps V W and the argmax over N (first on ties, as `ad.tmax`),
+    not the Gram product; backward takes the op-by-op graph's products per
+    cloud, the weight's as one GEMM, and lists `v` once per product: same bits."""
+    b, n, _, c = v.shape
+    mixed = v.data @ weight.data                  # (B, N, 3, C')
+    out = np.empty((b, c * mixed.shape[-1]))
+    idx = np.empty(out.shape, dtype=np.int64) if ad.recording((v, weight)) else None
+    for i in range(b):
+        gram = (np.swapaxes(v.data[i], -1, -2) @ mixed[i]).reshape(n, -1)
+        gram.max(axis=0, out=out[i])
+        if idx is not None:
+            gram.argmax(axis=0, out=idx[i])
 
-    Invariant because (RV)^T (RV W) = V^T (V W).
-    """
-    mixed = vn_linear(v, weight)
-    return ad.matmul(ad.swap_last_axes(v), mixed)
+    def grads(g):
+        g_vt, g_mixed = np.empty((b, n, c, 3)), np.empty(mixed.shape)
+        g_gram = np.zeros((n, out.shape[1]))
+        g_cloud, columns = g_gram.reshape(n, c, -1), np.arange(out.shape[1])
+        for i in range(b):
+            g_gram[idx[i], columns] = g[i]
+            np.matmul(g_cloud, np.swapaxes(mixed[i], -1, -2), out=g_vt[i])
+            np.matmul(v.data[i], g_cloud, out=g_mixed[i])
+            g_gram[idx[i], columns] = 0.0
+        if v.requires_grad:
+            yield from (np.swapaxes(g_vt, -1, -2), g_mixed @ weight.data.T)
+        if weight.requires_grad:
+            yield v.data.reshape(-1, c).T @ g_mixed.reshape(-1, g_mixed.shape[-1])
+
+    return ad._from_grads(out, "vn_invariant_pool", (v, v, weight), grads)

@@ -49,12 +49,17 @@ class TestForwardBasics:
         t = ad.Tensor(np.ones((3, 2)), requires_grad=True)
         with pytest.raises(ValueError, match="non-negative"):
             ad.gather(t, [0, -1])
-        with pytest.raises(ValueError, match="non-negative"):
-            t[np.array([[1, -3]])]
 
     def test_getitem_rejects_mixed_advanced_keys(self):
         with pytest.raises(TypeError):
             ad.Tensor(np.ones((3, 2)))[np.array([0, 1]), 1]
+
+    @pytest.mark.parametrize("key", [np.array([[1, 0]]), [2, 0],
+                                     ad.Tensor([1.0, 0.0])])
+    def test_getitem_rejects_row_arrays(self, key):
+        # rows by an index are taken with ad.gather only
+        with pytest.raises(TypeError, match="gather"):
+            ad.Tensor(np.ones((3, 2)), requires_grad=True)[key]
 
     def test_leaf_must_be_finite(self):
         with pytest.raises(ValueError):
@@ -68,12 +73,9 @@ class TestForwardBasics:
         with pytest.raises(ad.NumericError) as err:
             ad.log(ad.Tensor([0.0]))
         assert err.value.op == "log"
-        with pytest.raises(ad.NumericError) as err:
-            ad.div(ad.Tensor([1.0]), ad.Tensor([0.0]))
-        assert err.value.op == "div"
-        with pytest.raises(ad.NumericError) as err:
-            ad.sqrt(ad.Tensor([-1.0]))
-        assert err.value.op == "sqrt"
+        with np.errstate(over="ignore"), pytest.raises(ad.NumericError) as err:
+            ad.exp(ad.Tensor([1e3]))
+        assert err.value.op == "exp"
 
     def test_relu_propagates_nan(self):
         # a NaN upstream must reach the loss, where the training loop checks
@@ -193,6 +195,27 @@ class TestGradientCallback:
         np.testing.assert_array_equal(a.grad, 2.0 * weights)
         np.testing.assert_array_equal(b.grad, 3.0 * weights)
 
+    def test_parent_listed_twice_gets_both_contributions_in_order(self):
+        # `a` is listed twice and takes one term per listing, each added in
+        # turn onto the term of a consumer that ran first: (1 + tiny) + tiny
+        # rounds to 1, where 1 + (tiny + tiny) would not
+        tiny = 2.0 ** -53
+        a = ad.Tensor(np.array([0.0, 0.0]), requires_grad=True)
+        b = ad.Tensor(np.array([0.0, 0.0]), requires_grad=True)
+
+        def grads(g):
+            yield np.full(2, tiny)
+            yield 2.0 * g
+            yield np.full(2, tiny)
+
+        node = ad._from_grads(np.zeros(2), "twice", (a, b, a), grads)
+        assert node._parents == (a, b, a)
+        # backward reaches tsum(a) before the node, so a holds 1 already
+        ad.backward(ad.tsum(a) + ad.tsum(node))
+        np.testing.assert_array_equal(a.grad, [1.0, 1.0])
+        assert 1.0 + (tiny + tiny) != 1.0
+        np.testing.assert_array_equal(b.grad, [2.0, 2.0])
+
     @pytest.mark.parametrize("node,scatters", [("inv_edge_conv", 1),
                                                ("vn_edge_conv", 2),
                                                ("rpr_code", 1)])
@@ -248,11 +271,9 @@ PRIMITIVE_CASES = [
     ("add", lambda t: ad.tsum((t + ad.Tensor(CONST_45)) * ad.Tensor(CONST_45))),
     ("sub", lambda t: ad.tsum((ad.Tensor(CONST_45) - t) * ad.Tensor(CONST_45))),
     ("mul", lambda t: ad.tsum(t * t * ad.Tensor(CONST_45))),
-    ("div", lambda t: ad.tsum(ad.div(ad.Tensor(CONST_45), t + 5.0))),
     ("matmul", lambda t: ad.tsum(ad.matmul(t, ad.Tensor(CONST_45.T @ CONST_43)))),
     ("matmul_batched", lambda t: ad.tsum(
         ad.matmul(ad.reshape(t, (4, 5, 1)), ad.reshape(t, (4, 1, 5))))),
-    ("sqrt", lambda t: ad.tsum(ad.sqrt(t * t + 1.0))),
     ("exp", lambda t: ad.tsum(ad.exp(t * 0.3))),
     ("log", lambda t: ad.tsum(ad.log(t * t + 2.0))),
     ("relu", lambda t: ad.tsum(ad.relu(t) * ad.Tensor(CONST_45))),
@@ -269,7 +290,6 @@ PRIMITIVE_CASES = [
     ("transpose", lambda t: ad.tsum(ad.transpose(t, (1, 0)) * ad.Tensor(CONST_45.T))),
     ("reshape", lambda t: ad.tsum(ad.reshape(t, (2, 10)) * 1.5)),
     ("getitem_slice", lambda t: ad.tsum(t[1:3, ::2] * 2.0)),
-    ("getitem_fancy", lambda t: ad.tsum(t[np.array([[0, 2], [1, 1]])] * 3.0)),
     ("where", lambda t: ad.tsum(ad.where(CONST_45 > 0, t * 2.0, t * t))),
     ("cross", lambda t: ad.tsum(ad.cross(t[:, :3], ad.Tensor(CONST_43))
                                 * ad.Tensor(CONST_43))),
@@ -278,8 +298,8 @@ PRIMITIVE_CASES = [
     ("addmm", lambda t: ad.tsum(ad.addmm(ad.reshape(t[:, :3], (4, 1, 3)),
                                          ad.reshape(t * t, (4, 5, 1)),
                                          t[:1, :3] + 1.0) * ad.Tensor(CONST_453))),
-    ("addmm_bias", lambda t: ad.tsum(ad.addmm(t[0], t * 0.5, t[1:, :]
-                                              [np.array([0, 1, 2, 0, 1])])
+    ("addmm_bias", lambda t: ad.tsum(ad.addmm(t[0], t * 0.5,
+                                              ad.gather(t[1:, :], [0, 1, 2, 0, 1]))
                                      * ad.Tensor(CONST_45))),
     ("addmm_4d", lambda t: ad.tsum(ad.addmm(t[0, :2], ad.reshape(t, (2, 2, 5, 1)),
                                            ad.reshape(t[1, 3:], (1, 2)))

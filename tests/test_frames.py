@@ -9,6 +9,7 @@ from rotinv import autodiff as ad
 from rotinv import frames as fr
 from rotinv.geometry import knn_graph, sample_rotation_so3
 from rotinv.gradcheck import check_tensor_gradient
+from rotinv.vecneuron import gather_neighbors
 
 SQ2 = np.sqrt(2.0)
 
@@ -20,6 +21,16 @@ def unit(v):
 
 def unit_rows(v):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def composed_consistency_loss(pair, knn):
+    """Reference form of consistency_loss, op by op: the neighbours'
+    gathers, the two dot products per edge, their gap and its mean square."""
+    b, n = pair.v1.shape[:2]
+    d1, d2 = (ad.tsum(ad.reshape(v, (b, n, 1, 3)) * gather_neighbors(v, knn), axis=-1)
+              for v in (pair.v1, pair.v2))
+    gap = d1 - d2
+    return ad.mean(gap * gap)
 
 
 EXTENDED = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
@@ -193,6 +204,30 @@ class TestBisectorFrame:
         assert np.abs(dots).max() <= 1e-14
 
 
+@pytest.mark.parametrize("build", [fr.gram_schmidt_frame, fr.lcrf_frame],
+                         ids=["gram-schmidt", "lcrf"])
+class TestZeroLengthPairVector:
+    """A zero projection normalizes to a zero vector, whose v1.v2 = 0 lies
+    outside the parallel band; it is flagged all the same."""
+
+    PAIRS = [([0.0, 0, 0], [0, 0, 1.0]), ([0, 0, 1.0], [0.0, 0, 0])]
+
+    @pytest.mark.parametrize("v1,v2", PAIRS)
+    def test_raises_without_fallback(self, build, v1, v2):
+        pair = fr.ProjectedPair(ad.Tensor([v1]), ad.Tensor([v2]))
+        with pytest.raises(fr.DegenerateFrameError, match="zero-length"):
+            build(pair)
+
+    @pytest.mark.parametrize("v1,v2", PAIRS)
+    def test_takes_the_fallback(self, build, v1, v2):
+        pair = fr.ProjectedPair(ad.Tensor([v1, [1.0, 0, 0]]),
+                                ad.Tensor([v2, [0, 1.0, 0]]))
+        frame = build(pair, fallback=fr.identity_frames((2,)))
+        assert frame.degenerate.tolist() == [True, False]
+        np.testing.assert_array_equal(frame.data[0], np.eye(3))
+        assert (np.linalg.matrix_rank(frame.data) == 3).all()
+
+
 class TestHandcraftedFrame:
     def make_batch(self, seed=0, n=20, b=1):
         rng = np.random.default_rng(seed)
@@ -333,6 +368,35 @@ class TestLosses:
                 fr.ProjectedPair(ad.normalize(t[0:1], axis=-1),
                                  ad.normalize(t[1:2], axis=-1)), graph), raw)
         assert err <= 1e-4
+
+    @pytest.mark.parametrize("b,n,k", [(1, 6, 2), (3, 9, 4)])
+    def test_consistency_loss_matches_composed_form(self, rng, b, n, k):
+        # the same bits as the op-by-op graph, value and gradient, with both
+        # vectors read from one leaf that reaches them through the frame's
+        # other consumers too, and with repeated neighbours
+        raw = rng.standard_normal((2, b, n, 3))
+        knn = rng.integers(0, n, (b, n, k))
+        runs = []
+        for fn in (fr.consistency_loss, composed_consistency_loss):
+            leaf = ad.Tensor(raw, requires_grad=True)
+            pair = fr.ProjectedPair(ad.normalize(leaf[0], axis=-1),
+                                    ad.normalize(leaf[1], axis=-1))
+            loss = fr.orthogonality_loss(pair) + fn(pair, knn)
+            ad.backward(loss)
+            runs.append((loss.data, leaf.grad))
+        (loss, grad), (ref, ref_grad) = runs
+        assert np.array_equal(loss, ref) and np.array_equal(grad, ref_grad)
+
+    def test_consistency_loss_is_one_node(self, rng):
+        v = [ad.Tensor(unit_rows(rng.standard_normal((2, 5, 3))), requires_grad=True)
+             for _ in range(2)]
+        knn = rng.integers(0, 5, (2, 5, 3))
+        loss = fr.consistency_loss(fr.ProjectedPair(*v), knn)
+        assert loss._op == "consistency_loss"
+        assert loss._parents == (v[0], v[0], v[1], v[1])
+        with ad.no_grad():
+            plain = fr.consistency_loss(fr.ProjectedPair(*v), knn)
+        assert plain._parents == () and np.array_equal(plain.data, loss.data)
 
     def test_losses_invariant_to_global_rotation(self):
         flat = random_valid_pair(5)

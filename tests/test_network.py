@@ -20,7 +20,8 @@ from rotinv.vecneuron import gather_neighbors
 
 from conftest import (BLOCK_SHAPES, TINY_MODEL, assert_batch_is_its_clouds,
                       join_clouds)
-from test_vecneuron import composed_inv_edge_conv
+from test_frames import composed_consistency_loss
+from test_vecneuron import composed_inv_edge_conv, composed_invariant_pool
 
 
 def centered_cloud_batch(rng, b=2, n=20):
@@ -40,7 +41,7 @@ def composed_rpr_code(frame, features, knn):
     features = ad.reshape(features, features.shape)
     vj = gather_neighbors(features, knn)
     diff = vj - ad.reshape(features, (b, n, 1) + features.shape[2:])
-    ut = ad.swap_last_axes(frame)
+    ut = ad.transpose(frame, (0, 1, 3, 2))
     return ad.matmul(ad.reshape(ut, (b, n, 1, 3, 3)), diff)
 
 
@@ -53,7 +54,7 @@ def composed_gated_edge_conv(x, knn, fc1, fc2, gate=None, code=None,
     b, n = x.shape[0], x.shape[1]
     xj = gather_neighbors(x, knn)
     if frame is not None and gate is None:
-        ut = ad.swap_last_axes(frame)
+        ut = ad.transpose(frame, (0, 1, 3, 2))
         xj = ad.reshape(ad.matmul(ad.reshape(ut, (b, n, 1, 3, 3)),
                                   ad.reshape(xj, knn.shape + (3, 1))),
                         knn.shape + (3,))
@@ -491,6 +492,19 @@ class TestForward:
             pts, 3, np.random.default_rng(0), out.prediction_logits.data)
         assert defect <= 1e-6 and stable
 
+    def test_points_at_the_origin_take_the_fallback(self, rng):
+        # 11 copies of one point at the origin, each with the other ten as
+        # its neighbours: the encoder's features there are zero, so both
+        # projected vectors are zero-length; each such point is flagged and
+        # holds a fallback frame of rank 3
+        pts = rng.standard_normal((1, 48, 3))
+        pts[0, :11] = 0.0
+        model = FusionModel(named_config("full", **ACCEPTANCE_MODEL))
+        out = model.forward(pts)
+        assert out.diagnostics["degenerate_fraction"] >= 11 / 48
+        assert out.frames.degenerate[0, :11].all()
+        assert (np.linalg.matrix_rank(out.frames.data) == 3).all()
+
     def test_baseline_row_skips_equivariant_branch(self, rng):
         model = FusionModel(named_config("identity-frames", **TINY_MODEL))
         out = model.forward(centered_cloud_batch(rng))
@@ -821,11 +835,14 @@ def model_outputs(model, pts, labels):
 def test_fused_model_matches_composed_model(rng, monkeypatch, row):
     # The trained checks replay desk training, which splits on rounding-level
     # changes: the fused edge convolutions, with the frame projections they
-    # form inside, must give the same bits as the op-by-op graph, at the initial gates (last weight zero,
-    # no code gradient) and at perturbed ones.  One cloud gives the same
-    # bits everywhere; over a batch, the per-edge nodes add their weight and
-    # bias gradients up cloud by cloud, where the op-by-op graph sums over
-    # the batch at once, so those alone move by rounding.
+    # form inside, the pooled equivariant read-out and the consistency loss
+    # must give the same bits as the op-by-op graph, at the initial gates
+    # (last weight zero, no code gradient) and at perturbed ones.  One cloud
+    # gives the same bits everywhere; over a batch, the per-edge nodes add
+    # their weight and bias gradients up cloud by cloud, where the op-by-op
+    # graph sums over the batch at once, so those alone move by rounding.
+    # The read-out's weight gradient is one product over the batch, and the
+    # consistency loss has no weight, so their parameters keep every bit.
     model = FusionModel(named_config(row, **ACCEPTANCE_MODEL))
     per_edge = {p.name for layer in (model.encoder, model.psi, model.phi1,
                                      model.phi2, *model.gates)
@@ -840,6 +857,8 @@ def test_fused_model_matches_composed_model(rng, monkeypatch, row):
             fused, fused_grads = model_outputs(model, pts[:b], labels[:b])
             with monkeypatch.context() as patched:
                 patched.setattr(network, "inv_edge_conv", composed_gated_edge_conv)
+                patched.setattr(network, "vn_invariant_pool", composed_invariant_pool)
+                patched.setattr(fr, "consistency_loss", composed_consistency_loss)
                 ref, ref_grads = model_outputs(model, pts[:b], labels[:b])
             assert len(fused) == len(ref)
             for a, r in zip(fused, ref):
@@ -894,11 +913,11 @@ def test_edge_convolutions_build_no_per_edge_copies(rng):
     # Each edge convolution is one tape node over its per-point output: one
     # vn_edge_conv per encoder layer and one inv_edge_conv per invariant
     # layer, which gathers, projects, gates and drops its per-edge arrays
-    # itself.  So the network's own graph holds no per-edge node at all;
-    # only the frame consistency loss keeps its per-edge 3-vectors, and no
-    # tensor with the K neighbour axis goes through concat, broadcast_to,
-    # add or max anywhere on the tape.  The frame axes' stack is the only
-    # concat left.
+    # itself.  The frame consistency loss gathers inside its one node too,
+    # and the equivariant read-out pools its Gram products inside its node.
+    # So no node on the loss tape has the (B, N, K) neighbour prefix or the
+    # (B, N, C, C') Gram shape.  The frame axes' stack is the only concat
+    # left.
     cfg = named_config("full", **TINY_MODEL)
     model = FusionModel(cfg)
     b, n, k = 2, 20, cfg.k
@@ -907,17 +926,11 @@ def test_edge_convolutions_build_no_per_edge_copies(rng):
                          np.array([0, 1]), cfg.lambda_orth, cfg.lambda_consist,
                          pair=out.pair, knn=out.knn_coord)
     nodes = tape_nodes(loss)
-    per_edge = [c for c in nodes if c[1][:3] == (b, n, k)]
-    for op in ("concat", "broadcast_to", "add", "max", "relu"):
-        assert [c for c in per_edge if c[0] == op] == [], op
-    network_edges = [c for c in tape_nodes(out.logits_inv, out.logits_eqv,
-                                           out.logits_fused)
-                     if c[1][:3] == (b, n, k)]
-    assert network_edges == []
     vn_widths, inv_widths = TINY_MODEL["vn_widths"], TINY_MODEL["inv_widths"]
-    assert [c for c in per_edge if c[1] in [(b, n, k, 3, w) for w in vn_widths]] == []
-    assert [c for c in per_edge if c[0] in ("getitem", "mul", "matmul")
-            and c[1][-1] in inv_widths] == []
+    gram = (b, n, vn_widths[-1], cfg.head_channels)
+    assert [c for c in nodes if c[1][:3] == (b, n, k) or c[1] == gram] == []
+    assert ("vn_invariant_pool", (b, vn_widths[-1] * cfg.head_channels)) in nodes
+    assert ("consistency_loss", ()) in nodes
     assert sorted(c[1] for c in nodes if c[0] == "vn_edge_conv") == sorted(
         (b, n, 3, w) for w in vn_widths)
     assert sorted(c[1] for c in nodes if c[0] == "inv_edge_conv") == sorted(

@@ -10,7 +10,7 @@ from rotinv.geometry import knn_graph, sample_rotation_so3
 from rotinv.gradcheck import check_tensor_gradient
 from rotinv.network import inv_edge_conv
 from rotinv.vecneuron import (EquivariantEncoder, VnEdgeConv, gather_neighbors,
-                              vn_edge_conv, vn_invariant_head, vn_linear)
+                              vn_edge_conv, vn_invariant_pool, vn_linear)
 
 from conftest import BLOCK_SHAPES, assert_batch_is_its_clouds, join_clouds
 
@@ -514,37 +514,91 @@ class TestEncoder:
         assert any(np.abs(g).max() > 0 for g in store.values())
 
 
+def composed_invariant_pool(v, weight):
+    """Reference form of vn_invariant_pool, op by op: V W, the per-point Gram
+    product V^T (V W), flattened over its channels, and the max over the
+    points."""
+    b, n = v.shape[:2]
+    gram = ad.matmul(ad.transpose(v, (0, 1, 3, 2)), vn_linear(v, weight))
+    return ad.tmax(ad.reshape(gram, (b, n, -1)), axis=1)
+
+
 class TestInvariantHead:
+    """The Gram read-out V^T (V W), max-pooled over the points, as one node."""
+
     def test_single_channel_gram_is_squared_norm(self):
-        v = np.array([[1.0], [2.0], [2.0]])  # norm^2 = 9
-        out = vn_invariant_head(ad.Tensor(v), ad.Tensor(np.eye(1)))
-        np.testing.assert_allclose(out.data, [[9.0]])
+        # one channel and W = 1: the max of |v|^2 over the points
+        v = np.array([[1.0, 2.0, 2.0], [0.0, 1.0, 1.0], [4.0, 0.0, 0.0]])
+        out = vn_invariant_pool(ad.Tensor(v.reshape(1, 3, 3, 1)),
+                                ad.Tensor(np.eye(1)))
+        np.testing.assert_array_equal(out.data, [[16.0]])
 
     def test_zero_features_give_zero(self):
-        out = vn_invariant_head(ad.Tensor(np.zeros((2, 3, 4))),
+        out = vn_invariant_pool(ad.Tensor(np.zeros((2, 5, 3, 4))),
                                 ad.Tensor(np.ones((4, 2))))
-        np.testing.assert_array_equal(out.data, np.zeros((2, 4, 2)))
+        np.testing.assert_array_equal(out.data, np.zeros((2, 8)))
 
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_invariance(self, seed):
         rng = np.random.default_rng(seed)
-        v = rng.standard_normal((3, 3, 5))
+        v = rng.standard_normal((2, 4, 3, 5))
         w = rng.standard_normal((5, 2))
         rot = sample_rotation_so3(seed).matrix
-        plain = vn_invariant_head(ad.Tensor(v), ad.Tensor(w)).data
-        rotated = vn_invariant_head(ad.Tensor(rotate_channels(rot, v)),
+        plain = vn_invariant_pool(ad.Tensor(v), ad.Tensor(w)).data
+        rotated = vn_invariant_pool(ad.Tensor(rotate_channels(rot, v)),
                                     ad.Tensor(w)).data
         scale = max(np.abs(plain).max(), 1e-12)
         assert np.abs(rotated - plain).max() / scale <= 1e-9
 
     def test_gradient(self, rng):
-        w = ad.Tensor(rng.standard_normal((3, 2)))
-        weights = ad.Tensor(rng.standard_normal((2, 3, 2)))
+        v = rng.standard_normal((2, 4, 3, 3))
+        w = rng.standard_normal((3, 2))
+        weights = ad.Tensor(rng.standard_normal((2, 6)))
         err = check_tensor_gradient(
-            lambda t: ad.tsum(vn_invariant_head(t, w) * weights),
-            rng.standard_normal((2, 3, 3)))
+            lambda t: ad.tsum(vn_invariant_pool(t, ad.Tensor(w)) * weights), v)
         assert err <= 1e-4
+        err = check_tensor_gradient(
+            lambda t: ad.tsum(vn_invariant_pool(ad.Tensor(v), t) * weights), w)
+        assert err <= 1e-4
+
+    def test_tie_routes_to_first_point(self, rng):
+        # points 1 and 3 are equal and give every channel's max: as ad.tmax,
+        # the gradient goes to point 1 only
+        v = rng.standard_normal((1, 4, 3, 2)) * 0.1
+        v[0, 3] = v[0, 1] = 10.0 * np.abs(rng.standard_normal((3, 2)))
+        leaf = ad.Tensor(v, requires_grad=True)
+        w = ad.Tensor(np.abs(rng.standard_normal((2, 2))))
+        ad.backward(ad.tsum(vn_invariant_pool(leaf, w)))
+        assert np.abs(leaf.grad[0, 1]).min() > 0.0
+        assert not leaf.grad[0, [0, 2, 3]].any()
+
+    @pytest.mark.parametrize("b,n,c", [(1, 5, 3), (3, 7, 4)])
+    def test_matches_composed_form(self, rng, b, n, c):
+        # the same bits as the op-by-op graph: value and both gradients, with
+        # v reaching the node through a second consumer too
+        weights = rng.standard_normal((b, 2 * c))
+        v0, w0 = rng.standard_normal((b, n, 3, c)), rng.standard_normal((c, 2))
+        runs = []
+        for fn in (vn_invariant_pool, composed_invariant_pool):
+            leaf = ad.Tensor(v0, requires_grad=True)
+            w = ad.Tensor(w0, requires_grad=True)
+            v = leaf * 2.0
+            out = fn(v, w)
+            ad.backward(ad.tsum(out * ad.Tensor(weights)) + ad.tsum(v * v))
+            runs.append((out.data, leaf.grad, w.grad))
+        for a, r in zip(*runs):
+            assert np.array_equal(a, r)
+
+    def test_no_grad_records_no_parent(self, rng):
+        v = ad.Tensor(rng.standard_normal((2, 4, 3, 3)), requires_grad=True)
+        w = ad.Parameter("w", rng.standard_normal((3, 2)))
+        recorded = vn_invariant_pool(v, w)
+        with ad.no_grad():
+            plain = vn_invariant_pool(v, w)
+        assert recorded._parents == (v, v, w)
+        assert not plain.requires_grad and plain._parents == ()
+        assert np.array_equal(plain.data, recorded.data)
 
 
 def test_edgeconv_gradcheck(rng):
