@@ -195,17 +195,17 @@ def inv_edge_conv(x: Tensor, knn: np.ndarray, fc1: Linear, fc2: Linear,
     g (v_j - c_i)^T summed over K, and v gets U_i g scattered back to rows.
 
     When the graph is recorded the node keeps, besides its parents, only the
-    argmax over K of the fc2 product (the first on ties, as in `ad.tmax`);
-    under `no_grad` only the max is taken.  Backward builds the gathered
-    neighbours, the projection, the gate and the hidden layer again with
-    the same arithmetic, so the same bits (activation recomputation, Chen
-    et al. 2016), routes the gradient to the argmax rows, and sums the
-    per-edge hidden gradient over K for the per-point centre product; the
-    gradient of gathered neighbours is scattered back to rows
-    (`ad.scatter_rows`).  Each per-edge array is dropped as soon as it is
-    dead.  This one pass gives every parent's gradient, and the node's one
-    gradient callback yields each in parent order, so none outlives its use
-    in backward.
+    argmax over K of the fc2 product (the first on ties, as in `ad.tmax`),
+    in the narrowest unsigned type that holds K - 1: uint8 up to K = 256,
+    uint16 above; under `no_grad` only the max is taken.  Backward builds
+    the gathered neighbours, the projection, the gate and the hidden layer
+    again with the same arithmetic, so the same bits (activation
+    recomputation, Chen et al. 2016), routes the gradient to the argmax
+    rows, and sums the per-edge hidden gradient over K for the per-point
+    centre product; the gradient of gathered neighbours is scattered back
+    to rows (`ad.scatter_rows`).  Each per-edge array is dropped as soon as
+    it is dead, and the node's one gradient callback yields every parent's
+    gradient from this one pass, in parent order, so none outlives its use.
 
     Forward and backward run one cloud at a time (`over_clouds`), so each
     per-edge array stays in cache: the forward writes each cloud's
@@ -292,7 +292,7 @@ def inv_edge_conv(x: Tensor, knn: np.ndarray, fc1: Linear, fc2: Linear,
         return np.maximum(h, 0.0, out=h)
 
     # the K-argmax of every output, written cloud by cloud
-    idx = (np.zeros((b, n, 1) + w2.shape[1:], dtype=np.int64)
+    idx = (np.zeros((b, n, 1) + w2.shape[1:], np.min_scalar_type(edge[2] - 1))
            if ad.recording(parents.values()) else None)
 
     def forward(blk, out):

@@ -119,7 +119,7 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
 
         m = concat[v_i, v_j - v_i] W = v_i (W_a - W_b) + v_j W_b,
 
-    so both products are taken per point and the second is gathered after.
+    so both products are per point, taken per cloud, the second gathered after.
     Each channel of m is truncated against k_hat = k / max(|k|, eps),
     k = m @ direction: m - min(m . k_hat, 0) k_hat, which is equivariant
     because k co-rotates with the input.  The output is the mean over the
@@ -128,8 +128,9 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
     the two sums over K in backward, are one small GEMM per point,
     (3, K) @ (K, Cout) or its transposes, not per-edge einsums.
 
-    The node keeps only the two per-point products; backward builds the
-    per-edge terms again (bit-identical: the same gather and arithmetic),
+    The node keeps nothing beyond its parents (activation recomputation,
+    Chen et al. 2016): backward forms each cloud's two per-point products
+    and per-edge terms again with the same arithmetic, so the same bits,
     forms the per-edge gradient of m once, sums it over K for the centre
     product and scatters it to rows for the neighbour product
     (`ad.scatter_rows`); what is left are per-point products.  The node's
@@ -141,7 +142,7 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
     forward checks each cloud's k_hat for non-finite values, and backward
     adds the weight and direction gradients over the clouds in cloud order.
     """
-    b, n, _, c = v.shape
+    _, n, _, c = v.shape
     n_nbr = knn.shape[-1]
     if n_nbr == 0:
         raise ValueError("empty neighborhood: edge convolution needs k >= 1")
@@ -150,16 +151,15 @@ def vn_edge_conv(v: Tensor, knn: np.ndarray, weight: Tensor,
     w_ab = weight.data[:c] - w_b
     w_dir = direction.data
     cout = w_b.shape[1]
-    flat_v = v.data.reshape(-1, c)
-    neighbor = (flat_v @ w_b).reshape(b, n, 3, cout)
-    center = (flat_v @ w_ab).reshape(b, n, 1, 3, cout)
 
     def edges(blk, out=None):
         """Per edge of the cloud `blk`: m (written to `out` if given), k,
         |k|, max(|k|, eps), k_hat and min(m . k_hat, 0)."""
+        v_blk = v.data[blk.start].reshape(-1, c)
         # (1, N, K, 3, Cout); cloud_rows has checked every index
-        m = np.take(neighbor[blk.start], rows[blk], axis=0, out=out, mode="clip")
-        m += center[blk]
+        m = np.take((v_blk @ w_b).reshape(n, 3, cout), rows[blk], axis=0,
+                    out=out, mode="clip")
+        m += (v_blk @ w_ab).reshape(n, 1, 3, cout)
         k = (m.reshape(-1, cout) @ w_dir).reshape(m.shape[:-1] + (1,))
         khat, norm, guarded = ad.normalize_forward(k, axis=-2)
         # the einsums contract without building a full-size product first

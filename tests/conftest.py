@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,19 @@ def assert_batch_is_its_clouds(node, per_point, weights):
     assert np.array_equal(out, ref)
     for i, (a, r) in enumerate(zip(grads, ref_grads)):
         assert np.array_equal(a, r), i
+
+
+def traced_live_mib(fn):
+    """Run `fn()` under tracemalloc and return (live, peak) in MiB: what the
+    allocations made while it ran still hold with its result alive, and the
+    most they held at once."""
+    tracemalloc.start()
+    try:
+        result = fn()               # alive while the live bytes are read
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return live / 2**20, peak / 2**20
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from rotinv.network import (COMPONENT_ABLATION_ROWS, FRAME_ABLATION_ROWS,
 from rotinv.vecneuron import gather_neighbors
 
 from conftest import (BLOCK_SHAPES, TINY_MODEL, assert_batch_is_its_clouds,
-                      join_clouds)
+                      join_clouds, traced_live_mib)
 from test_frames import composed_consistency_loss
 from test_vecneuron import composed_inv_edge_conv, composed_invariant_pool
 
@@ -936,6 +936,26 @@ def test_edge_convolutions_build_no_per_edge_copies(rng):
     assert sorted(c[1] for c in nodes if c[0] == "inv_edge_conv") == sorted(
         (b, n, w) for w in inv_widths)
     assert any(op == "concat" for op, _ in nodes), "the frame stack should stay"
+
+
+def test_recorded_forward_keeps_little_alive(rng):
+    # A recorded `full` forward and its loss at default widths (B=4,
+    # N=128) hold 3.9 MiB while the loss is alive.  Nodes that also kept
+    # the encoder's per-point products v W_b and v (W_a - W_b) over the
+    # batch (2.6 MiB here) and the invariant layers' argmaxes over K as
+    # int64 (1 MiB; 0.125 MiB as uint8) held 7.4 MiB.
+    cfg = named_config("full")
+    model = FusionModel(cfg)
+    points = centered_cloud_batch(rng, b=4, n=128)
+
+    def step():
+        out = model.forward(points)
+        return total_loss(out.logits_inv, out.logits_eqv, out.logits_fused,
+                          np.arange(4) % cfg.n_classes, cfg.lambda_orth,
+                          cfg.lambda_consist, pair=out.pair, knn=out.knn_coord)
+
+    live, _ = traced_live_mib(step)
+    assert live < 5.0
 
 
 @pytest.mark.parametrize("graph_metric", GRAPH_METRICS)

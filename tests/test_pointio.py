@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +8,8 @@ from rotinv.geometry import PointCloud
 from rotinv.pointio import (CLOUD_MAGIC, read_cloud, read_cloud_binary,
                             read_cloud_text, write_cloud, write_cloud_binary,
                             write_cloud_text)
+
+from conftest import traced_live_mib
 
 
 @pytest.fixture
@@ -162,14 +162,12 @@ def test_binary_count_is_checked_before_reading(tmp_path):
     # size is asked for
     path = tmp_path / "huge.lcpc"
     path.write_bytes(CLOUD_MAGIC + (1 << 20).to_bytes(4, "little"))
-    tracemalloc.start()
-    try:
+
+    def read_huge():
         with pytest.raises(ValueError, match=r"huge\.lcpc: truncated point data"):
             read_cloud(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+
+    assert traced_live_mib(read_huge)[1] < 1.0
     path.write_bytes(CLOUD_MAGIC + (0xFFFFFFFF).to_bytes(4, "little"))
     with pytest.raises(ValueError, match=r"huge\.lcpc: truncated point data"):
         read_cloud(path)

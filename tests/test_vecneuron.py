@@ -409,6 +409,22 @@ class TestInvEdgeConv:
         # a tied edge after the first never receives a gradient
         assert not grads[0][:, 8].any() and grads[0][:, 1].any()
 
+    def test_ties_past_255_neighbours_go_to_first(self, rng):
+        # K = 260 keeps the argmax as uint16.  Every point's neighbour 257 is
+        # point 1, scaled up so that it is the max of some outputs, and its
+        # last, point 299, repeats it; no other edge reads either, and
+        # neither's own output carries a gradient
+        x, knn, w1, b1, w2, b2, weights = self.inputs(rng, b=1, n=300, k=260)
+        knn[:] = rng.integers(2, 299, knn.shape)
+        knn[:, :, 257] = 1
+        knn[:, :, 259] = 299
+        x[:, 1] *= 100.0
+        x[:, 299] = x[:, 1]
+        weights[:, [1, 299]] = 0.0
+        _, grads = self.assert_bit_identical((x, knn, w1, b1, w2, b2, weights))
+        # neighbour 257 takes the gradient, its tie at 259 none
+        assert grads[0][:, 1].any() and not grads[0][:, 299].any()
+
     def test_single_neighbour(self, rng):
         args = self.inputs(rng, k=1)
         out, _ = self.assert_bit_identical(args)
