@@ -200,11 +200,18 @@ def inv_edge_conv(x: Tensor, knn: np.ndarray, fc1: Linear, fc2: Linear,
     uint16 above; under `no_grad` only the max is taken.  Backward builds
     the gathered neighbours, the projection, the gate and the hidden layer
     again with the same arithmetic, so the same bits (activation
-    recomputation, Chen et al. 2016), routes the gradient to the argmax
-    rows, and sums the per-edge hidden gradient over K for the per-point
-    centre product; the gradient of gathered neighbours is scattered back
-    to rows (`ad.scatter_rows`).  Each per-edge array is dropped as soon as
-    it is dead, and the node's one gradient callback yields every parent's
+    recomputation, Chen et al. 2016), for the active points only: those
+    whose output gradient has a nonzero entry, each with all K edges.
+    Under a max over points (PointNet's critical set, Qi et al. 2017) most
+    points are inactive, and their edges send only zeros.  Each per-point
+    product keeps its call shape, so its bits, and every sum across points
+    or edges (weight products, bias sums, the centre product) still runs
+    over all N or N·K rows, the inactive ones zero: BLAS's bits depend on
+    the row count.  Backward routes the gradient to the argmax rows, and
+    sums the per-edge hidden gradient over K for the per-point centre
+    product; the gradient of gathered neighbours is scattered back to rows
+    (`ad.scatter_rows`).  Each per-edge array is dropped as soon as it is
+    dead, and the node's one gradient callback yields every parent's
     gradient from this one pass, in parent order, so none outlives its use.
 
     Forward and backward run one cloud at a time (`over_clouds`), so each
@@ -242,15 +249,15 @@ def inv_edge_conv(x: Tensor, knn: np.ndarray, fc1: Linear, fc2: Linear,
                        gw2=gate.fc2.weight, gb2=gate.fc2.bias)
     edge = (1, n, knn.shape[2])             # one cloud's per-edge arrays
 
-    # each helper takes the cloud `blk` and, in the forward, the per-cloud
-    # buffers its per-edge results are written to
-    def project(blk, out) -> tuple[np.ndarray, np.ndarray]:
-        """U_i^T (v_j - c_i) and v_j - c_i, (1, N, K, 3, C)."""
+    # each helper takes the cloud `blk`, the per-cloud buffers the forward
+    # writes to, and the points `at` it runs on: in backward, the active M
+    def project(blk, out, at=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """U_i^T (v_j - c_i) and v_j - c_i, (1, M, K, 3, C)."""
         # cloud_rows has checked every index
-        d = np.take(v[blk.start], rows[blk], axis=0, out=out.get("d"), mode="clip")
+        d = np.take(v[blk.start], rows[blk, at], axis=0, out=out.get("d"), mode="clip")
         if not in_frame:                    # the pose code's c_i = v_i
-            d -= v[blk, :, None]
-        return np.matmul(ut[blk], d, out=out.get("proj")), d
+            d -= v[blk, at, None]
+        return np.matmul(ut[blk, at], d, out=out.get("proj")), d
 
     def centre(blk) -> np.ndarray:
         """The cloud's (N, C) x_i, psi's read in their own frames."""
@@ -258,25 +265,26 @@ def inv_edge_conv(x: Tensor, knn: np.ndarray, fc1: Linear, fc2: Linear,
             return x.data[blk.start]
         return (ut[blk, :, 0] @ v[blk]).reshape(n, c)
 
-    def neighbor_features(blk, out) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """The (1, N, K, C) x_j and, for psi, the points p_j it projects."""
+    def neighbor_features(blk, out, at=slice(None)):
+        """The (1, M, K, C) x_j and, for psi, the points p_j it projects."""
         if in_frame:
-            proj, d = project(blk, out)
-            return proj.reshape(edge + (c,)), d
-        return np.take(x.data[blk.start], rows[blk], axis=0, out=out.get("xj"),
-                       mode="clip"), None
+            proj, d = project(blk, out, at)
+            return proj.reshape(proj.shape[:3] + (c,)), d
+        return np.take(x.data[blk.start], rows[blk, at], axis=0,
+                       out=out.get("xj"), mode="clip"), None
 
-    def gate_terms(xj: np.ndarray, blk, out):
+    def gate_terms(xj: np.ndarray, blk, out, at=slice(None)):
         """The gate's per-edge input, hidden layer and output, and for the
         pose code, v_j - v_i."""
         d = None
+        width = xj.shape[:3] + gate.fc1.weight.shape[:1]   # not -1: M may be 0
         if vectors is not None:
-            proj, d = project(blk, out)
-            inp = proj.reshape(xj.shape[:3] + (-1,))
+            proj, d = project(blk, out, at)
+            inp = proj.reshape(width)
         elif code is None:
-            inp = np.subtract(xj, x_i[blk], out=out.get("inp"))
+            inp = np.subtract(xj, x_i[blk, at], out=out.get("inp"))
         else:
-            inp = code[blk].reshape(xj.shape[:3] + (-1,))
+            inp = code[blk, at].reshape(width)
         hid = np.matmul(inp, gate.fc1.weight.data, out=out.get("hid"))
         hid += gate.fc1.bias.data
         np.maximum(hid, 0.0, out=hid)
@@ -284,11 +292,12 @@ def inv_edge_conv(x: Tensor, knn: np.ndarray, fc1: Linear, fc2: Linear,
         gated += gate.fc2.bias.data
         return inp, hid, gated, d
 
-    def hidden(edges: np.ndarray, center: np.ndarray, out=None) -> np.ndarray:
-        center = center @ w_ab
+    def hidden(edges: np.ndarray, center: np.ndarray, out=None,
+               at=slice(None)) -> np.ndarray:
+        center = center @ w_ab              # all N rows: BLAS's bits vary with M
         center += b1
         h = np.matmul(edges, w_b, out=out)
-        h += center[:, None]
+        h += center[at, None]
         return np.maximum(h, 0.0, out=h)
 
     # the K-argmax of every output, written cloud by cloud
@@ -330,23 +339,31 @@ def inv_edge_conv(x: Tensor, knn: np.ndarray, fc1: Linear, fc2: Linear,
         if vectors is None and code is None:
             buffers["inp"] = edge + (c,)
 
-    def project_gradients(g_proj: np.ndarray, d: np.ndarray, blk,
+    def spread(a: np.ndarray, at) -> np.ndarray:
+        """The (1, M, ...) rows `a` of the points `at` among N zero rows."""
+        if isinstance(at, slice):
+            return a
+        out = np.zeros(a.shape[:1] + (n,) + a.shape[2:])
+        out[:, at] = a
+        return out
+
+    def project_gradients(g_proj: np.ndarray, d: np.ndarray, blk, at,
                           g_centre=None) -> dict[str, np.ndarray]:
         """The frame's and the vectors' gradients from the cloud's gradient
         `g_proj` of U_i^T (v_j - c_i) and, for psi, `g_centre` of U_i^T x_i."""
         grads = {}
         if frame.requires_grad:
-            g_ut = (g_proj @ np.swapaxes(d, -1, -2)).sum(axis=2)
+            g_ut = spread((g_proj @ np.swapaxes(d, -1, -2)).sum(axis=2), at)
             if in_frame:
                 g_ut += g_centre @ np.swapaxes(v[blk], -1, -2)
             grads["frame"] = np.swapaxes(g_ut, -1, -2)
         if vectors.requires_grad:
-            g_d = np.swapaxes(ut[blk], -1, -2) @ g_proj
-            grad = ad.scatter_rows(g_d, rows[blk], n).reshape(v[blk].shape)
+            g_d = np.swapaxes(ut[blk, at], -1, -2) @ g_proj
+            grad = ad.scatter_rows(g_d, rows[blk, at], n).reshape(v[blk].shape)
             if in_frame:
                 grad += np.swapaxes(ut[blk, :, 0], -1, -2) @ g_centre
             else:
-                grad += np.negative(g_d, out=g_d).sum(axis=2)
+                grad[:, at] += np.negative(g_d, out=g_d).sum(axis=2)
             grads["x" if in_frame else "code"] = grad.reshape(
                 (1,) + vectors.shape[1:])
         return grads
@@ -355,17 +372,20 @@ def inv_edge_conv(x: Tensor, knn: np.ndarray, fc1: Linear, fc2: Linear,
         """Every parent's gradient that backward will ask for, from the
         cloud `blk`."""
         g = g[blk]
-        xj, d = neighbor_features(blk, {})
+        active = g[0].any(axis=-1)
+        at = slice(None) if active.all() else np.flatnonzero(active)
+        xj, d = neighbor_features(blk, {}, at)
         if gate is None:
             edges = xj
         else:
-            inp, hid, gate_out, d = gate_terms(xj, blk, {})
+            inp, hid, gate_out, d = gate_terms(xj, blk, {}, at)
             edges = gate_out * xj
         center = centre(blk)
-        h = hidden(edges, center)
+        h = hidden(edges, center, at=at)
         gy = np.zeros(h.shape[:3] + w2.shape[1:])
-        np.put_along_axis(gy, idx[blk], g[:, :, None], axis=2)
-        grads = {"w2": h.reshape(-1, h.shape[-1]).T @ gy.reshape(-1, gy.shape[-1]),
+        np.put_along_axis(gy, idx[blk, at], g[:, at, None], axis=2)
+        grads = {"w2": (spread(h, at).reshape(-1, h.shape[-1]).T
+                        @ spread(gy, at).reshape(-1, gy.shape[-1])),
                  "b2": g.sum(axis=(0, 1))}
         live = h > 0
         del h
@@ -373,9 +393,10 @@ def inv_edge_conv(x: Tensor, knn: np.ndarray, fc1: Linear, fc2: Linear,
         del gy
         gh *= live
         del live
-        g_wb = edges.reshape(-1, c).T @ gh.reshape(-1, gh.shape[-1])
+        g_wb = (spread(edges, at).reshape(-1, c).T
+                @ spread(gh, at).reshape(-1, gh.shape[-1]))
         del edges
-        g_center = gh.sum(axis=2, keepdims=True)
+        g_center = spread(gh.sum(axis=2, keepdims=True), at)
         # psi's frame takes its gradient through the projected x
         through_x = x.requires_grad or (in_frame and frame.requires_grad)
         g_edge = None
@@ -393,20 +414,22 @@ def inv_edge_conv(x: Tensor, knn: np.ndarray, fc1: Linear, fc2: Linear,
             del xj
             g_edge *= gate_out
             del gate_out
-            grads["gb2"] = g_gate.sum(axis=(0, 1, 2))
-            grads["gw2"] = (hid.reshape(-1, hid.shape[-1]).T
-                            @ g_gate.reshape(-1, g_gate.shape[-1]))
+            every = spread(g_gate, at)
+            grads["gb2"] = every.sum(axis=(0, 1, 2))
+            grads["gw2"] = (spread(hid, at).reshape(-1, hid.shape[-1]).T
+                            @ every.reshape(-1, every.shape[-1]))
             g_hid = g_gate @ gate.fc2.weight.data.T
             del g_gate
             g_hid *= hid > 0
             del hid
-            grads["gb1"] = g_hid.sum(axis=(0, 1, 2))
-            grads["gw1"] = (inp.reshape(-1, inp.shape[-1]).T
-                            @ g_hid.reshape(-1, g_hid.shape[-1]))
-            del inp
+            every = spread(g_hid, at)
+            grads["gb1"] = every.sum(axis=(0, 1, 2))
+            grads["gw1"] = (spread(inp, at).reshape(-1, inp.shape[-1]).T
+                            @ every.reshape(-1, every.shape[-1]))
+            del inp, every
             if vectors is not None:
                 grads.update(project_gradients(
-                    (g_hid @ gate.fc1.weight.data.T).reshape(d.shape), d, blk))
+                    (g_hid @ gate.fc1.weight.data.T).reshape(d.shape), d, blk, at))
             elif code is None:
                 # x_j - x_i: the x_j term joins the gating term before the
                 # scatter and the x_i term is summed over K, in the order
@@ -414,14 +437,14 @@ def inv_edge_conv(x: Tensor, knn: np.ndarray, fc1: Linear, fc2: Linear,
                 g_code = g_hid @ gate.fc1.weight.data.T
                 g_edge += g_code
                 if x.requires_grad:
-                    g_x += np.negative(g_code, out=g_code).sum(axis=2)
+                    g_x[:, at] += np.negative(g_code, out=g_code).sum(axis=2)
                 del g_code
             del g_hid
         if in_frame and through_x:
-            grads.update(project_gradients(g_edge.reshape(d.shape), d, blk,
+            grads.update(project_gradients(g_edge.reshape(d.shape), d, blk, at,
                                            g_x.reshape(edge[:2] + (c, 1))))
         elif x.requires_grad:
-            g_x += ad.scatter_rows(g_edge, rows[blk], n).reshape(g_x.shape)
+            g_x += ad.scatter_rows(g_edge, rows[blk, at], n).reshape(g_x.shape)
             grads["x"] = g_x
         return grads
 

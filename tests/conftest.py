@@ -72,6 +72,17 @@ def assert_batch_is_its_clouds(node, per_point, weights):
         assert np.array_equal(a, r), i
 
 
+def max_pool_weights(rng, b, n, c):
+    """(B, N, C) upstream weights shaped as the gradient of a max over the N
+    points: per cloud and channel one point, drawn at random, carries a
+    nonzero weight and every other point a zero, so only the points that
+    win some channel (PointNet's critical set) receive a gradient."""
+    weights = np.zeros((b, n, c))
+    points = rng.integers(0, n, (b, c))
+    weights[np.arange(b)[:, None], points, np.arange(c)] = rng.standard_normal((b, c))
+    return weights
+
+
 def traced_live_mib(fn):
     """Run `fn()` under tracemalloc and return (live, peak) in MiB: what the
     allocations made while it ran still hold with its result alive, and the

@@ -19,7 +19,7 @@ from rotinv.network import (COMPONENT_ABLATION_ROWS, FRAME_ABLATION_ROWS,
 from rotinv.vecneuron import gather_neighbors
 
 from conftest import (BLOCK_SHAPES, TINY_MODEL, assert_batch_is_its_clouds,
-                      join_clouds, traced_live_mib)
+                      join_clouds, max_pool_weights, traced_live_mib)
 from test_frames import composed_consistency_loss
 from test_vecneuron import composed_inv_edge_conv, composed_invariant_pool
 
@@ -611,14 +611,14 @@ class TestGatedEdgeConv:
     cloud order."""
 
     def inputs(self, rng, source, b=2, n=9, k=4, c=5, hidden=6, c_out=7,
-               gate_hidden=3):
+               gate_hidden=3, code_shapes=CODE_SHAPES):
         if source == "projected":
             c = 3                                   # psi reads 3-vectors
         x = rng.standard_normal((b, n, c))
         knn = rng.integers(0, n, (b, n, k))
         knn[0, 1] = 3                             # one neighbour K times
         knn[-1, :, 0] = 2                         # everyone's first neighbour
-        shape = CODE_SHAPES.get(source)
+        shape = code_shapes.get(source)
         code = None
         if shape is not None:
             per = (b, n) if source in IN_FRAME else (b, n, k)
@@ -699,6 +699,28 @@ class TestGatedEdgeConv:
         assert (grads[1] is not None) == with_code
         assert (grads[2] is not None) == in_frame
         assert all(g is not None and g.any() for g in grads[3:])
+
+    @pytest.mark.parametrize("source", SOURCES + ["ungated"])
+    def test_sparse_gradient_at_default_size(self, rng, source):
+        # Under a max over points most rows of the node's gradient are zero,
+        # and backward rebuilds only the points with a nonzero row.  At the
+        # default N = 128, K = 16 and widths, BLAS splits a product over the
+        # N*K edges into several blocks, so that sum keeps the composed
+        # form's bits only when it still runs over every row.  Two clouds
+        # take max-pool weights, one no gradient at all and one a gradient
+        # at every point.
+        gated, n = source != "ungated", 128
+        widths = (dict(hidden=64, c_out=64) if source == "projected"
+                  else dict(c=64, hidden=128, c_out=128))
+        case = self.inputs(rng, source if gated else "invariant", b=4, n=n,
+                           k=16, gate_hidden=32, **widths,
+                           code_shapes={**CODE_SHAPES, "equivariant": (3, 8)})
+        c_out = widths["c_out"]
+        case["weights"] = np.concatenate([
+            max_pool_weights(rng, 2, n, c_out), np.zeros((1, n, c_out)),
+            rng.standard_normal((1, n, c_out))])
+        _, grads = self.assert_bit_identical(case, gated)
+        assert all(g is None or g.any() for g in grads)
 
     def test_ungated_index(self, rng):
         # the phi layers of rows without a pose gate

@@ -12,7 +12,8 @@ from rotinv.network import inv_edge_conv
 from rotinv.vecneuron import (EquivariantEncoder, VnEdgeConv, gather_neighbors,
                               vn_edge_conv, vn_invariant_pool, vn_linear)
 
-from conftest import BLOCK_SHAPES, assert_batch_is_its_clouds, join_clouds
+from conftest import (BLOCK_SHAPES, assert_batch_is_its_clouds, join_clouds,
+                      max_pool_weights)
 
 
 def rotate_channels(rot, v):
@@ -446,6 +447,26 @@ class TestInvEdgeConv:
         out, grads = self.assert_bit_identical((x, knn, w1, b1, w2, b2, weights))
         np.testing.assert_array_equal(out.data[1, 4], b2)
         assert not grads[0][1, 4].any()
+
+    @pytest.mark.parametrize("x_grad", (True, False))
+    def test_clouds_without_gradient_and_with_one_point(self, rng, x_grad):
+        # backward runs only on the points whose output takes a gradient:
+        # on none of the first cloud's and on one of the second's, whose x
+        # gradient is exactly zero off that point and its K neighbours
+        n, c_out = 128, 64
+        x, knn, w1, b1, w2, b2, _ = self.inputs(rng, n=n, k=16, c=64, hidden=64,
+                                                c_out=c_out)
+        weights = np.concatenate([np.zeros((1, n, c_out)), max_pool_weights(
+            rng, 1, n, 1) * rng.standard_normal(c_out)])
+        _, grads = self.assert_bit_identical((x, knn, w1, b1, w2, b2, weights),
+                                             x_grad=x_grad)
+        assert all(g.any() for g in grads[1:])
+        if x_grad:
+            point = np.flatnonzero(weights[1].any(axis=-1))
+            reached = np.zeros(n, dtype=bool)
+            reached[point] = reached[knn[1, point]] = True
+            assert grads[0][1, point].any()
+            assert not grads[0][0].any() and not grads[0][1, ~reached].any()
 
     def test_constant_inputs_reach_parameters_only(self, rng):
         # a constant x: only the four parameters take a gradient
