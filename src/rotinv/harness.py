@@ -232,6 +232,8 @@ def train_model(model: FusionModel, dataset: SyntheticDataset,
 def evaluate(model: FusionModel, clouds: list[PointCloud], labels: np.ndarray,
              rotation_kind: str, seed: int, batch_size: int = 32) -> float:
     """Accuracy under one fresh rotation per sample."""
+    if len(labels) != len(clouds):
+        raise ValueError(f"{len(labels)} labels for {len(clouds)} clouds")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6576616c]))
     points = np.stack([c.points for c in clouds])
     rotated = _rotate_batch(points, rotation_kind, rng)

@@ -711,7 +711,18 @@ class FusionModel:
         return fr.lcrf_frame(pair, fallback=fallback)
 
     def forward(self, points: np.ndarray) -> ForwardOutput:
-        """Run both branches on a (B, N, 3) batch."""
+        """Run both branches on a (B, N, 3) batch.
+
+        The forward reads in this order: the equivariant encoder's features
+        `veq` (B, N, 3, C); from them the projected pair and the equivariant
+        Gram read-out with its head; the frames; the pose code, the last
+        reader of `veq`; then the invariant branch (psi, phi1, phi2), its
+        head and the fusion.  The local `veq` is dropped before psi: under
+        `no_grad` nothing else holds the features, so their memory is free
+        again while the invariant branch reaches the forward's peak.  A
+        recorded forward keeps them on the tape for backward, whose order
+        follows the graph, not the order in which the nodes were made, so
+        the bits do not depend on this order."""
         if np.ndim(points) != 3 or np.shape(points)[-1] != 3:
             raise ValueError(f"points must be (B, N, 3), got {np.shape(points)}")
         points = np.asarray(points, dtype=np.float64)
@@ -723,29 +734,32 @@ class FusionModel:
         knn_coord = self._coordinate_graph(points)
         pts = Tensor(points)
 
-        veq = None
-        pair = None
-        logits_eqv = None
+        veq = pair = pooled_eqv = logits_eqv = None
         if cfg.uses_equivariant_branch:
             veq = self.encoder(pts, knn_coord)              # (B,N,3,C)
             pair = fr.project_pair(veq, self.pair_proj)
+            pooled_eqv = vn_invariant_pool(veq, self.head)  # (B, C C')
+            logits_eqv = self.cls_eqv(pooled_eqv)
         frame = self._build_frames(pts, knn_coord, pair)
 
-        # first invariant convolution on frame-projected geometry: point i
-        # and its neighbours, all seen in frame i, U_i^T p_i and U_i^T p_j
-        x = inv_edge_conv(pts, knn_coord, self.psi.fc1, self.psi.fc2,
-                          frame=frame.matrix)
-
-        # later layers on a dynamic graph with optional pose gating; the
-        # gate reads the pose features in each centre's frame, U_i^T (v_j -
-        # v_i): the points as one vector channel for the `coordinate`
-        # source, the projected equivariant features for `equivariant`
+        # the pose features for the gated layers, read in each centre's
+        # frame as U_i^T (v_j - v_i): the points as one vector channel for
+        # the `coordinate` source, the projected equivariant features for
+        # `equivariant`
         source = cfg.rpr_source
         code, code_frame = None, None
         if source == "coordinate":
             code, code_frame = ad.reshape(pts, (b, n, 3, 1)), frame.matrix
         elif source == "equivariant":
             code, code_frame = ad.matmul(veq, self.rpr_proj), frame.matrix
+        del veq                 # read for the last time; see the docstring
+
+        # first invariant convolution on frame-projected geometry: point i
+        # and its neighbours, all seen in frame i, U_i^T p_i and U_i^T p_j
+        x = inv_edge_conv(pts, knn_coord, self.psi.fc1, self.psi.fc2,
+                          frame=frame.matrix)
+
+        # later layers on a dynamic graph with optional pose gating
         for phi, gate in zip((self.phi1, self.phi2), self.gates):
             if cfg.graph_metric == "feature":
                 idx = self._feature_graph(x.data)
@@ -757,11 +771,6 @@ class FusionModel:
 
         pooled_inv = ad.tmax(x, axis=1)
         logits_inv = self.cls_inv(pooled_inv)
-
-        pooled_eqv = None
-        if cfg.uses_equivariant_branch:
-            pooled_eqv = vn_invariant_pool(veq, self.head)  # (B, C C')
-            logits_eqv = self.cls_eqv(pooled_eqv)
 
         logits_fused = None
         if cfg.fusion == "attention":

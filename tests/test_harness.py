@@ -197,6 +197,15 @@ class TestEvaluation:
         rotated = _rotate_batch(pts, "z", rng)
         np.testing.assert_allclose(rotated[..., 2], pts[..., 2], atol=1e-12)
 
+    @pytest.mark.parametrize("n_labels", (1, 8))
+    def test_evaluate_rejects_label_count_mismatch(self, quick_dataset, n_labels):
+        # one label used to broadcast against all six predictions and give
+        # an accuracy of up to 6.0; eight failed only in numpy's broadcast
+        model = FusionModel(named_config("full", **TINY_MODEL))
+        with pytest.raises(ValueError, match=f"{n_labels} labels for 6 clouds"):
+            evaluate(model, quick_dataset.test[:6], np.ones(n_labels, dtype=int),
+                     "so3", seed=0)
+
     def test_invariance_defect_helper(self, quick_dataset):
         model = FusionModel(named_config("full", **TINY_MODEL))
         defect = invariance_defect(model, quick_dataset.test[:2],
